@@ -30,7 +30,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from math import sqrt
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from hankelcensus.gf import FieldSpec
 from hankelcensus.hankel import (
@@ -40,6 +40,7 @@ from hankelcensus.hankel import (
     _rank_codes,
     _rank_kernel,
     det,
+    iter_seq_tuples,
     jt_matrix,
     jt_to_hankel,
 )
@@ -75,6 +76,7 @@ __all__ = [
     "brute_count_jt_singular",
     "monte_carlo_rank_le",
     "make_report",
+    "target_stderr",
     "all_passed",
     "verify",
     "suite_lemmas",
@@ -181,6 +183,15 @@ class CensusReport:
     elapsed_s: float
 
 
+def target_stderr(target: Fraction, trials: int) -> float:
+    """Standard error of a success rate over `trials` draws at probability target.
+
+    Monte Carlo verdicts use this null-hypothesis spread rather than the
+    estimate's own, which is 0 whenever no trial (or every trial) succeeds.
+    """
+    return sqrt(float(target * (1 - target)) / trials)
+
+
 def make_report(
     check: str,
     field: FieldSpec,
@@ -195,7 +206,7 @@ def make_report(
     if mode == "monte-carlo":
         est: MonteCarloEstimate = observed
         diff = abs(est.estimate - formula)
-        within = diff == 0 or float(diff) <= 4.0 * est.stderr
+        within = diff == 0 or float(diff) <= 4.0 * target_stderr(formula, est.trials)
         verdict = "estimate-within-tolerance" if within else "mismatch"
     elif formula is None or observed is None:
         verdict = None
@@ -298,40 +309,38 @@ def _test_shape(m: int, n: int, r: int) -> tuple[int, int]:
     return m, n
 
 
-def _count_rank_le_codes(
+def _tally_ranks(
     spec: FieldSpec,
-    m: int,
-    n: int,
-    r: int,
-    prefix_codes: Sequence[int],
+    head: Sequence[int],
+    free: int,
+    shape: tuple[int, int],
+    limit: int,
     cap: int,
     jobs: int,
-) -> int:
-    q = spec.order
-    k = len(prefix_codes)
-    free = m + n + 1 - k
-    _check_cap(q, free, cap)
-    rdeg, cdeg = _test_shape(m, n, r)
-    nrows, ncols = rdeg + 1, cdeg + 1
-    kern = _rank_kernel(spec)
-    head = list(prefix_codes)
+) -> list[int]:
+    """Rank tallies over all completions of head by `free` entries.
 
-    def count_block(first: tuple[int, ...]) -> int:
+    tallies[rho] counts completions whose (rdeg, cdeg) = shape view has
+    rank rho; ranks above limit land in tallies[limit + 1].
+    """
+    q = spec.order
+    _check_cap(q, free, cap)
+    nrows, ncols = shape[0] + 1, shape[1] + 1
+    limit = min(limit, nrows, ncols)
+    kern = _rank_kernel(spec)
+    head = list(head)
+
+    def tally_block(first: tuple[int, ...]) -> list[int]:
+        tallies = [0] * (limit + 2)
         x = head + list(first) + [0] * (free - len(first))
-        if len(first) == free:
-            rows = [x[i : i + ncols] for i in range(nrows)]
-            return 1 if kern(rows, r) <= r else 0
-        base = k + len(first)
-        cnt = 0
+        base = len(head) + len(first)
         for rest in itertools.product(range(q), repeat=free - len(first)):
             x[base:] = rest
-            rows = [x[i : i + ncols] for i in range(nrows)]
-            if kern(rows, r) <= r:
-                cnt += 1
-        return cnt
+            tallies[kern([x[i : i + ncols] for i in range(nrows)], limit)] += 1
+        return tallies
 
     blocks = [()] if free == 0 else [(c,) for c in range(q)]
-    return sum(_map_blocks(count_block, blocks, jobs))
+    return [sum(col) for col in zip(*_map_blocks(tally_block, blocks, jobs))]
 
 
 def brute_count_rank_le(query: CountQuery, cap: int = DEFAULT_CAP, *, jobs: int = 1) -> int:
@@ -340,9 +349,10 @@ def brute_count_rank_le(query: CountQuery, cap: int = DEFAULT_CAP, *, jobs: int 
     Works in any regime; the closed form only exists in the "standard"
     and "full-width" regimes, but the enumeration itself is unconditional.
     """
-    return _count_rank_le_codes(
-        query.field, query.m, query.n, query.r, query.prefix.codes, cap, jobs
-    )
+    shape = _test_shape(query.m, query.n, query.r)
+    free = query.tuple_len - query.k
+    tallies = _tally_ranks(query.field, query.prefix.codes, free, shape, query.r, cap, jobs)
+    return sum(tallies[: query.r + 1])
 
 
 def brute_census(
@@ -361,36 +371,14 @@ def brute_census(
         prefix = SeqTuple(field, ())
     if prefix.field != field:
         raise ValueError("prefix lives in a different field")
-    q = field.order
     k = len(prefix)
     if k > m + n + 1:
         raise ValueError(f"prefix length {k} exceeds tuple length {m + n + 1}")
     free = m + n + 1 - k
-    _check_cap(q, free, cap)
     max_rank = min(m, n) + 1
-    nrows, ncols = m + 1, n + 1
-    kern = _rank_kernel(field)
-    head = list(prefix.codes)
-
-    def census_block(first: tuple[int, ...]) -> list[int]:
-        tallies = [0] * (max_rank + 1)
-        x = head + list(first) + [0] * (free - len(first))
-        if len(first) == free:
-            rows = [x[i : i + ncols] for i in range(nrows)]
-            tallies[kern(rows, max_rank)] += 1
-            return tallies
-        base = k + len(first)
-        for rest in itertools.product(range(q), repeat=free - len(first)):
-            x[base:] = rest
-            rows = [x[i : i + ncols] for i in range(nrows)]
-            tallies[kern(rows, max_rank)] += 1
-        return tallies
-
-    blocks = [()] if free == 0 else [(c,) for c in range(q)]
-    parts = _map_blocks(census_block, blocks, jobs)
-    tallies = [sum(col) for col in zip(*parts)]
+    tallies = _tally_ranks(field, prefix.codes, free, (m, n), max_rank, cap, jobs)
     counts = {rho: tallies[rho] for rho in range(max_rank + 1)}
-    return RankDistribution(counts, q**free)
+    return RankDistribution(counts, field.order**free)
 
 
 def brute_count_jt_singular(
@@ -416,7 +404,7 @@ def brute_count_jt_singular(
     _check_cap(q, u + v - 1, cap)
     count = 0
     zero = field.zero
-    for y in _iter_tuples(field, u + v - 1):
+    for y in iter_seq_tuples(field, u + v - 1):
         if path == "flip":
             x = jt_to_hankel(y, u, v)
             rows = _hankel_code_rows(x.codes, v - 1, v - 1)
@@ -426,18 +414,6 @@ def brute_count_jt_singular(
             if det(jt_matrix(y, u, v)) == zero:
                 count += 1
     return count
-
-
-def _iter_tuples(
-    field: FieldSpec, length: int, prefix: SeqTuple | None = None
-) -> Iterator[SeqTuple]:
-    head = () if prefix is None else prefix.entries
-    free = length - len(head)
-    if free == 0:  # do not touch the element table of a huge field
-        yield SeqTuple(field, head)
-        return
-    for tail in itertools.product(field.elements(), repeat=free):
-        yield SeqTuple(field, head + tail)
 
 
 # ----------------------------------------------------------------------
@@ -648,7 +624,7 @@ def _gadget_bounds(q: int) -> tuple[int, int] | None:
     return None
 
 
-def _gadget_bounds_or_raise(q: int, max_n: int | None, cap: int) -> tuple[int, int]:
+def _gadget_bounds_or_raise(q: int, max_n: int | None) -> tuple[int, int]:
     if max_n is not None:
         return min(3, max_n), min(2, max_n)
     bounds = _gadget_bounds(q)
@@ -678,7 +654,7 @@ def suite_identities(
     for n in range(n_hi + 1):
         for m in range(n + 2):
             _check_cap(q, m + n + 1, cap)
-            for x in _iter_tuples(field, m + n + 1):
+            for x in iter_seq_tuples(field, m + n + 1):
                 lhs, rhs = elkies_identity_sides(x, m, n)
                 instances += 1
                 if lhs != rhs:
@@ -691,7 +667,7 @@ def suite_identities(
         _timed("annihilator-count-identity", field, params, 0, bad, "brute", started)
     )
     started = time.perf_counter()
-    m_hi, n2_hi = _gadget_bounds_or_raise(q, max_n, cap)
+    m_hi, n2_hi = _gadget_bounds_or_raise(q, max_n)
     bad = 0
     instances = 0
     first = None
@@ -699,7 +675,7 @@ def suite_identities(
         for n in range(n2_hi + 1):
             _check_cap(q, m + n + 1, cap)
             for k in range(min(m, n + 1) + 1):
-                for a in _iter_tuples(field, k):
+                for a in iter_seq_tuples(field, k):
                     lhs, rhs = sumlast_sides(field, m, n, a)
                     instances += 1
                     if lhs != rhs:
@@ -730,7 +706,7 @@ def suite_witnesses(
     weak/strong counts differ by a factor of exactly Q.
     """
     q = field.order
-    m_hi, n_hi = _gadget_bounds_or_raise(q, max_n, cap)
+    m_hi, n_hi = _gadget_bounds_or_raise(q, max_n)
     reports = []
     elements = field.elements()
 
@@ -760,7 +736,7 @@ def suite_witnesses(
                         if _annihilates_codes(field, vcodes, xc, n + 1)
                     }
                     constructed = set()
-                    for head in _iter_tuples(field, m):
+                    for head in iter_seq_tuples(field, m):
                         out = solve_tail(v, head, n)
                         inst_solve += 1
                         if out.codes not in solutions:
@@ -840,12 +816,12 @@ def suite_witnesses(
                     continue
                 v = RowVector.from_codes(field, vtail + (0,))
                 for k in range(n + 2):
-                    for a in _iter_tuples(field, k):
+                    for a in iter_seq_tuples(field, k):
                         ctx = NiceContext(field, m, n, v, a)
                         where = f"v={v.codes} a={a.codes} m={m} n={n}"
                         weak = []
                         strong = []
-                        for x in _iter_tuples(field, length, a):
+                        for x in iter_seq_tuples(field, length, a):
                             if is_weakly_nice(x, ctx):
                                 weak.append(x)
                             if is_strongly_nice(x, ctx):
@@ -894,7 +870,7 @@ def _prefix_family(field, m, n, r, k, formula, cap, jobs):
     """
     first_bad = None
     total = 0
-    for a in _iter_tuples(field, k):
+    for a in iter_seq_tuples(field, k):
         got = brute_count_rank_le(CountQuery(field, m, n, r, a), cap, jobs=jobs)
         total += got
         if got != formula and first_bad is None:

@@ -39,6 +39,7 @@ from hankelcensus.census import (
     make_report,
     monte_carlo_rank_le,
     rank_le_probability,
+    target_stderr,
     verify,
 )
 from hankelcensus.gf import FieldSpec, parse_element, parse_field
@@ -374,7 +375,8 @@ def _cmd_sample(args) -> int:
     target = rank_le_probability(query)
     est = monte_carlo_rank_le(query, args.trials, args.seed)
     diff = float(est.estimate - target)
-    z = 0.0 if diff == 0 else (diff / est.stderr if est.stderr else float("inf"))
+    sigma = target_stderr(target, est.trials)
+    z = 0.0 if diff == 0 else (diff / sigma if sigma else float("inf"))
     report = make_report("sample", field, {}, formula=target, observed=est, mode="monte-carlo")
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     params = {"m": args.m, "n": args.n, "r": args.r, "k": query.k, "trials": args.trials, "seed": args.seed}

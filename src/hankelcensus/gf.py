@@ -11,6 +11,12 @@ Prime fields work for any prime p < 2^31.  Extension fields ship with
 fixed Conway moduli for Q in {4, 8, 9, 16, 25, 27, 32, 49, 64}; any other
 extension field needs an explicit irreducible modulus.
 
+Extension fields up to order 2^16 build O(Q) discrete-log tables on first
+use: antilogs and logs of a primitive element and, for odd p, Zech
+logarithms log(1 + g^n), so products, inverses and (odd p) sums are table
+lookups.  In characteristic 2 a sum is the XOR of codes.  Larger fields
+use polynomial arithmetic.
+
 Field spec text format: "Q" for a built-in field (e.g. "9"), or
 "p^d:c0,c1,...,cd" with little-endian modulus coefficients.  Elements
 render as plain integers when d = 1 and as "c0+c1*t+..." otherwise.
@@ -39,8 +45,8 @@ __all__ = [
 
 _MAX_PRIME = 2**31
 
-# Largest field order for which full Q x Q operation tables are built.
-_TABLE_LIMIT = 1024
+# Largest extension-field order that gets log tables (see _LogTables).
+_TABLE_LIMIT = 1 << 16
 
 # Conway polynomials (little-endian, monic) for the built-in extension orders.
 _BUILTIN_MODULI: dict[int, tuple[int, tuple[int, ...]]] = {
@@ -180,11 +186,20 @@ def _is_irreducible(modulus: Sequence[int], p: int) -> bool:
     return True
 
 
-class _OpTables(NamedTuple):
-    add: list[list[int]]
-    sub: list[list[int]]
-    mul: list[list[int]]
-    inv: list[int]
+class _LogTables(NamedTuple):
+    """Log tables of GF(q) for a primitive element g, with L = q - 1.
+
+    exp[i] is the code of g^(i mod L) for 0 <= i < 3L and 0 for
+    3L <= i <= 6L; log[a] is the exponent of a, and log[0] = 3L.  So
+    exp[log[a] + log[b]] is a*b for zero operands too, with no branch.
+    zech (empty when p = 2) is read at offset 3L: zech[3L + n] is n for
+    -3L <= n < -L, log(1 + g^n) for -L <= n < 2L, and 0 for 2L <= n < 4L.
+    Then a + b = exp[log[a] + zech[3L + log[b] - log[a]]] for all a, b.
+    """
+
+    exp: list[int]
+    log: list[int]
+    zech: list[int]
 
 
 class FieldSpec:
@@ -285,20 +300,20 @@ class FieldSpec:
     # -- element construction ------------------------------------------
 
     def element(self, value: "int | Sequence[int] | FieldElement") -> "FieldElement":
-        """Element from an integer code (residue when d = 1) or coefficients."""
+        """Element from a code in [0, Q) or coefficients in [0, p)."""
         if isinstance(value, FieldElement):
             if value.spec != self:
                 raise ValueError("element belongs to a different field")
             return value
         if isinstance(value, int):
-            if self.d == 1:
-                return FieldElement(self, (value % self.p,))
             if not 0 <= value < self.order:
                 raise ValueError(f"code {value} out of range for {self}")
             return FieldElement(self, self.decode(value))
-        coeffs = [int(c) % self.p for c in value]
+        coeffs = [int(c) for c in value]
         if len(coeffs) > self.d:
             raise ValueError(f"too many coefficients for {self}")
+        if not all(0 <= c < self.p for c in coeffs):
+            raise ValueError(f"coefficients {coeffs} out of range [0, {self.p}) for {self}")
         coeffs += [0] * (self.d - len(coeffs))
         return FieldElement(self, tuple(coeffs))
 
@@ -335,33 +350,34 @@ class FieldSpec:
         return tuple(out)
 
     @property
-    def tables(self) -> _OpTables | None:
-        """Full Q x Q operation tables, or None when the field is too large."""
-        if self.order > _TABLE_LIMIT:
+    def tables(self) -> _LogTables | None:
+        """Log tables of an extension field, or None (prime or too large)."""
+        if self.d == 1 or self.order > _TABLE_LIMIT:
             return None
-        tab = self._tables
-        if tab is None:
-            tab = self._build_tables()
-            object.__setattr__(self, "_tables", tab)
-        return tab
-
-    def _build_tables(self) -> _OpTables:
+        if self._tables is not None:
+            return self._tables
         q, p = self.order, self.p
-        coeffs = [self.decode(i) for i in range(q)]
-        add = [[0] * q for _ in range(q)]
-        sub = [[0] * q for _ in range(q)]
-        mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            ca = coeffs[a]
-            for b in range(q):
-                cb = coeffs[b]
-                add[a][b] = self.encode([(x + y) % p for x, y in zip(ca, cb)])
-                sub[a][b] = self.encode([(x - y) % p for x, y in zip(ca, cb)])
-                mul[a][b] = self._mul_code_raw(a, b)
-        inv = [0] * q
-        for a in range(1, q):
-            inv[a] = self._inv_code_raw(a)
-        return _OpTables(add, sub, mul, inv)
+        L = q - 1
+        factors = _prime_factors(L)
+        # constants have order dividing p-1, so the search starts at t
+        g = next(
+            c for c in range(p, q)
+            if all(self._pow_code_raw(c, L // f) != 1 for f in factors)
+        )
+        powers = [1]
+        for _ in range(L - 1):
+            powers.append(self._mul_code_raw(powers[-1], g))
+        log = [3 * L] * q
+        for i, c in enumerate(powers):
+            log[c] = i
+        exp = powers * 3 + [0] * (3 * L + 1)
+        zech: list[int] = []
+        if p != 2:
+            # 1 + c only changes the constant digit of the code c
+            one_plus = [log[c - c % p + (c + 1) % p] for c in powers]
+            zech = list(range(-3 * L, -L)) + one_plus * 3 + [0] * (2 * L)
+        object.__setattr__(self, "_tables", _LogTables(exp, log, zech))
+        return self._tables
 
     def _mul_code_raw(self, a: int, b: int) -> int:
         prod = _poly_mul(self.decode(a), self.decode(b), self.p)
@@ -369,47 +385,48 @@ class FieldSpec:
         red += [0] * (self.d - len(red))
         return self.encode(red)
 
-    def _inv_code_raw(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError(f"inversion of zero in {self}")
-        out, e = 1, self.order - 2
-        base = a
+    def _pow_code_raw(self, a: int, e: int) -> int:
+        out = 1
         while e > 0:
             if e & 1:
-                out = self._mul_code_raw(out, base)
-            base = self._mul_code_raw(base, base)
+                out = self._mul_code_raw(out, a)
+            a = self._mul_code_raw(a, a)
             e >>= 1
         return out
 
     def add_code(self, a: int, b: int) -> int:
         if self.d == 1:
             return (a + b) % self.p
+        if self.p == 2:
+            return a ^ b
         tab = self.tables
         if tab is not None:
-            return tab.add[a][b]
+            exp, log, zech = tab
+            la = log[a]
+            return exp[la + zech[3 * (self.order - 1) + log[b] - la]]
         p = self.p
         return self.encode([(x + y) % p for x, y in zip(self.decode(a), self.decode(b))])
 
     def sub_code(self, a: int, b: int) -> int:
-        if self.d == 1:
-            return (a - b) % self.p
-        tab = self.tables
-        if tab is not None:
-            return tab.sub[a][b]
-        p = self.p
-        return self.encode([(x - y) % p for x, y in zip(self.decode(a), self.decode(b))])
+        return self.add_code(a, self.neg_code(b))
 
     def neg_code(self, a: int) -> int:
         if self.d == 1:
             return -a % self.p
-        return self.sub_code(0, a)
+        if self.p == 2:
+            return a
+        tab = self.tables
+        if tab is not None:  # -1 = g^(L/2)
+            return tab.exp[tab.log[a] + (self.order - 1) // 2]
+        p = self.p
+        return self.encode([-x % p for x in self.decode(a)])
 
     def mul_code(self, a: int, b: int) -> int:
         if self.d == 1:
             return a * b % self.p
         tab = self.tables
         if tab is not None:
-            return tab.mul[a][b]
+            return tab.exp[tab.log[a] + tab.log[b]]
         return self._mul_code_raw(a, b)
 
     def inv_code(self, a: int) -> int:
@@ -419,8 +436,8 @@ class FieldSpec:
             return pow(a, self.p - 2, self.p)
         tab = self.tables
         if tab is not None:
-            return tab.inv[a]
-        return self._inv_code_raw(a)
+            return tab.exp[self.order - 1 - tab.log[a]]
+        return self._pow_code_raw(a, self.order - 2)
 
 
 def _smallest_prime_factor(n: int) -> int:
@@ -547,16 +564,24 @@ def format_element(a: FieldElement) -> str:
     return "+".join(terms) if terms else "0"
 
 
+def _literal_coeff(spec: FieldSpec, text: str, literal: str) -> int:
+    # an integer coefficient c with -p < c < p; negatives mean negation
+    try:
+        c = int(text)
+    except ValueError as exc:
+        raise ValueError(f"bad element literal {literal!r} for {spec}") from exc
+    if not -spec.p < c < spec.p:
+        raise ValueError(f"coefficient {c} out of range for {spec} in {literal!r}")
+    return c % spec.p
+
+
 def parse_element(spec: FieldSpec, text: str) -> FieldElement:
     """Parse the format produced by format_element."""
     text = text.strip()
     if not text:
         raise ValueError("empty element literal")
     if spec.d == 1:
-        try:
-            return spec.element(int(text))
-        except ValueError as exc:
-            raise ValueError(f"bad element literal {text!r} for {spec}") from exc
+        return spec.element(_literal_coeff(spec, text, text))
     coeffs = [0] * spec.d
     for term in text.split("+"):
         term = term.strip()
@@ -578,13 +603,12 @@ def parse_element(spec: FieldSpec, text: str) -> FieldElement:
             else:
                 raise ValueError(f"bad term {term!r} in element literal {text!r}")
         try:
-            c = int(coeff)
             power = int(power)
         except ValueError as exc:
             raise ValueError(f"bad term {term!r} in element literal {text!r}") from exc
         if not 0 <= power < spec.d:
             raise ValueError(f"power t^{power} out of range for {spec}")
-        coeffs[power] = (coeffs[power] + c) % spec.p
+        coeffs[power] = (coeffs[power] + _literal_coeff(spec, coeff, text)) % spec.p
     return FieldElement(spec, tuple(coeffs))
 
 

@@ -6,16 +6,18 @@ be -1, giving a legal empty matrix of rank 0.  Rank, determinant and left
 kernel dimension are computed by exact Gaussian elimination with partial
 pivoting on the first nonzero entry.
 
-Internally rows are lists of integer element codes (see gf); the
-elimination kernels specialize on prime fields, table-backed small
-extension fields, and a generic fallback.
+Internally rows are lists of integer element codes (see gf).  Rank runs
+on one of three elimination kernels: arithmetic mod p for prime fields,
+log-table lookups for extension fields that have tables, and a generic
+kernel over the field's code operations.  The generic kernel also
+returns the determinant, so det() and fields without tables share it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterator, Sequence
 
 from hankelcensus.gf import FieldElement, FieldSpec
@@ -216,7 +218,7 @@ class RowVector:
 # ----------------------------------------------------------------------
 
 
-def _rank_rows_modp(rows: list[list[int]], p: int, limit: int) -> int:
+def _rank_rows_modp(p: int, rows: list[list[int]], limit: int) -> int:
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     rank = 0
@@ -246,8 +248,11 @@ def _rank_rows_modp(rows: list[list[int]], p: int, limit: int) -> int:
     return rank
 
 
-def _rank_rows_table(rows: list[list[int]], tab, limit: int) -> int:
-    mul, sub, inv = tab.mul, tab.sub, tab.inv
+def _rank_rows_log(tab, rows: list[list[int]], limit: int) -> int:
+    # row update x - (f/piv)*y through the field's log tables (gf._LogTables)
+    exp, log, zech = tab
+    L = len(log) - 1
+    half = L // 2
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     rank = 0
@@ -265,23 +270,38 @@ def _rank_rows_table(rows: list[list[int]], tab, limit: int) -> int:
             return rank
         rows[top], rows[piv] = rows[piv], rows[top]
         prow = rows[top]
-        pinv = inv[prow[col]]
+        lpinv = L - log[prow[col]]
         for i in range(top + 1, nrows):
             f = rows[i][col]
             if f:
-                mf = mul[mul[f][pinv]]
-                rows[i] = [sub[x][mf[y]] for x, y in zip(rows[i], prow)]
+                if zech:  # odd p: add (-f/piv)*y by Zech logarithms
+                    c = 3 * L + (log[f] + lpinv + half) % L
+                    rows[i] = [
+                        exp[(lx := log[x]) + zech[c + log[y] - lx]]
+                        for x, y in zip(rows[i], prow)
+                    ]
+                else:  # p = 2: subtraction is XOR
+                    lf = log[f] + lpinv
+                    rows[i] = [x ^ exp[lf + log[y]] for x, y in zip(rows[i], prow)]
         top += 1
         if top == nrows:
             break
     return rank
 
 
-def _rank_rows_generic(rows: list[list[int]], spec: FieldSpec, limit: int) -> int:
+def _rank_rows_generic(
+    spec: FieldSpec, rows: list[list[int]], limit: int
+) -> tuple[int, int]:
+    """Rank and determinant code, through the field's code operations.
+
+    The determinant (pivot product, negated per row swap) is that of a
+    square matrix run with limit >= its size.
+    """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     rank = 0
     top = 0
+    det_code = 1
     for col in range(ncols):
         piv = -1
         for i in range(top, nrows):
@@ -289,12 +309,16 @@ def _rank_rows_generic(rows: list[list[int]], spec: FieldSpec, limit: int) -> in
                 piv = i
                 break
         if piv < 0:
+            det_code = 0
             continue
         rank += 1
         if rank > limit:
-            return rank
-        rows[top], rows[piv] = rows[piv], rows[top]
+            return rank, 0
+        if piv != top:
+            rows[top], rows[piv] = rows[piv], rows[top]
+            det_code = spec.neg_code(det_code)
         prow = rows[top]
+        det_code = spec.mul_code(det_code, prow[col])
         pinv = spec.inv_code(prow[col])
         for i in range(top + 1, nrows):
             f = rows[i][col]
@@ -307,21 +331,7 @@ def _rank_rows_generic(rows: list[list[int]], spec: FieldSpec, limit: int) -> in
         top += 1
         if top == nrows:
             break
-    return rank
-
-
-def _rank_codes(spec: FieldSpec, rows: list[list[int]], limit: int | None = None) -> int:
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    cap = min(nrows, ncols)
-    if limit is None or limit > cap:
-        limit = cap
-    if spec.d == 1:
-        return _rank_rows_modp(rows, spec.p, limit)
-    tab = spec.tables
-    if tab is not None:
-        return _rank_rows_table(rows, tab, limit)
-    return _rank_rows_generic(rows, spec, limit)
+    return rank, det_code
 
 
 def _rank_kernel(spec: FieldSpec):
@@ -330,56 +340,18 @@ def _rank_kernel(spec: FieldSpec):
     The returned function takes (rows, limit) and mutates rows.
     """
     if spec.d == 1:
-        p = spec.p
-
-        def kern(rows: list[list[int]], limit: int, _p: int = p) -> int:
-            return _rank_rows_modp(rows, _p, limit)
-
-        return kern
+        return partial(_rank_rows_modp, spec.p)
     tab = spec.tables
     if tab is not None:
-
-        def kern(rows: list[list[int]], limit: int, _tab=tab) -> int:
-            return _rank_rows_table(rows, _tab, limit)
-
-        return kern
-
-    def kern(rows: list[list[int]], limit: int, _spec: FieldSpec = spec) -> int:
-        return _rank_rows_generic(rows, _spec, limit)
-
-    return kern
+        return partial(_rank_rows_log, tab)
+    return lambda rows, limit: _rank_rows_generic(spec, rows, limit)[0]
 
 
-def _det_codes(spec: FieldSpec, rows: list[list[int]]) -> int:
-    """Determinant code of a square code matrix; mutates rows."""
-    n = len(rows)
-    det_code = 1  # code of the field's one
-    negate = False
-    for col in range(n):
-        piv = -1
-        for i in range(col, n):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv < 0:
-            return 0
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            negate = not negate
-        prow = rows[col]
-        det_code = spec.mul_code(det_code, prow[col])
-        pinv = spec.inv_code(prow[col])
-        for i in range(col + 1, n):
-            f = rows[i][col]
-            if f:
-                f = spec.mul_code(f, pinv)
-                rows[i] = [
-                    spec.sub_code(x, spec.mul_code(f, y))
-                    for x, y in zip(rows[i], prow)
-                ]
-    if negate:
-        det_code = spec.neg_code(det_code)
-    return det_code
+def _rank_codes(spec: FieldSpec, rows: list[list[int]], limit: int | None = None) -> int:
+    cap = min(len(rows), len(rows[0]) if rows else 0)
+    if limit is None or limit > cap:
+        limit = cap
+    return _rank_kernel(spec)(rows, limit)
 
 
 def _hankel_code_rows(codes: Sequence[int], rdeg: int, cdeg: int) -> list[list[int]]:
@@ -415,7 +387,7 @@ def det(M: DenseMatrix) -> FieldElement:
     """Determinant by elimination, tracking pivot products and swap sign."""
     if M.rows != M.cols:
         raise ValueError(f"determinant needs a square matrix, got {M.rows}x{M.cols}")
-    return M.field.element(_det_codes(M.field, M.code_rows()))
+    return M.field.element(_rank_rows_generic(M.field, M.code_rows(), M.rows)[1])
 
 
 def left_kernel_dim(M: DenseMatrix) -> int:

@@ -21,6 +21,7 @@ from hankelcensus.census import (
     make_report,
     monte_carlo_rank_le,
     rank_le_probability,
+    target_stderr,
     verify,
 )
 from hankelcensus.census import _draw_codes, _mix64
@@ -248,6 +249,29 @@ def test_make_report_verdicts():
     far = MonteCarloEstimate(Fraction(9, 10), 0.01, 90, 100)
     r = make_report("demo", F2, {}, formula=Fraction(1, 2), observed=far, mode="monte-carlo")
     assert r.verdict == "mismatch"
+
+
+def test_monte_carlo_verdict_at_zero_or_all_successes():
+    # the band comes from the target's variance, so p-hat in {0, 1} (and a
+    # zero estimated stderr) neither fails a right answer nor passes a wrong one
+    def verdict(successes, trials, target):
+        est = MonteCarloEstimate(Fraction(successes, trials), 0.0, successes, trials)
+        return make_report("demo", F2, {}, formula=target, observed=est, mode="monte-carlo").verdict
+
+    assert verdict(0, 1000, Fraction(1, 101**7)) == "estimate-within-tolerance"
+    assert verdict(1000, 1000, 1 - Fraction(1, 101**7)) == "estimate-within-tolerance"
+    assert verdict(0, 10**6, Fraction(1, 101)) == "mismatch"
+    assert verdict(100, 100, Fraction(1, 2)) == "mismatch"
+    assert verdict(999, 1000, Fraction(1)) == "mismatch"
+    query = CountQuery(FieldSpec(101), 4, 4, 1)
+    est = monte_carlo_rank_le(query, 1000, 0)
+    assert est.successes == 0 and est.stderr == 0.0
+    report = make_report(
+        "demo", query.field, {}, formula=rank_le_probability(query), observed=est, mode="monte-carlo"
+    )
+    assert report.verdict == "estimate-within-tolerance"
+    # at the large-field criterion's operating point the band barely moves
+    assert abs(target_stderr(Fraction(1, 101), 10**6) - 9.90e-5) < 1e-7
 
 
 def test_verify_small_run_passes():

@@ -34,6 +34,30 @@ def test_rank_wrong_entry_count(capsys):
     assert "6 entries" in err
 
 
+def test_out_of_range_literals_exit_2(capsys):
+    for field, entries in (("5", "7,0,-3"), ("5", "0,0,5"), ("4", "7,0,1"), ("9", "0,3*t,1")):
+        code, out, err = run_cli(capsys, "rank", "--field", field, "--m", "1", "--n", "1", entries)
+        assert code == 2 and out == ""
+        assert "out of range" in err
+    code, out, _ = run_cli(capsys, "rank", "--field", "5", "--m", "1", "--n", "1", "4,0,-4")
+    assert code == 0 and "rank: 2" in out
+    code, _, err = run_cli(
+        capsys, "count", "--field", "3", "--m", "2", "--n", "2", "--r", "1", "--prefix", "3"
+    )
+    assert code == 2 and "out of range" in err
+
+
+def test_sample_zero_successes_is_within_tolerance(capsys):
+    code, out, _ = run_cli(
+        capsys, "sample", "--field", "101", "--m", "4", "--n", "4", "--r", "1", "--trials", "1000"
+    )
+    assert code == 0
+    assert "successes: 0" in out
+    assert "verdict: estimate-within-tolerance" in out
+    z = float(next(line for line in out.splitlines() if line.startswith("z: "))[3:])
+    assert abs(z) < 1e-3
+
+
 def test_count_both_match(capsys):
     code, out, _ = run_cli(
         capsys, "count", "--field", "2", "--m", "2", "--n", "3", "--r", "1", "--mode", "both"

@@ -180,6 +180,46 @@ def test_parse_element_errors():
     assert parse_element(FieldSpec(5), "-1") == FieldSpec(5).element(4)
 
 
+def test_out_of_range_literals_rejected():
+    f5, f4, f9 = FieldSpec(5), FieldSpec.from_order(4), FieldSpec.from_order(9)
+    for bad in ("7", "5", "-5", "12"):
+        with pytest.raises(ValueError):
+            parse_element(f5, bad)
+    assert [parse_element(f5, s).coeffs for s in ("-4", "-1", "0", "4")] == [(1,), (4,), (0,), (4,)]
+    for bad in ("7", "2", "2*t", "1+3*t"):
+        with pytest.raises(ValueError):
+            parse_element(f4, bad)
+    assert parse_element(f9, "-1+2*t") == f9.element((2, 2))
+    with pytest.raises(ValueError):
+        parse_element(f9, "3*t")
+
+
+def test_element_rejects_out_of_range_codes_and_coefficients():
+    f5, f9 = FieldSpec(5), FieldSpec.from_order(9)
+    for spec, bad in ((f5, 5), (f5, -1), (f5, 7), (f9, 9), (f9, -1)):
+        with pytest.raises(ValueError):
+            spec.element(bad)
+    for spec, bad in ((f5, (5,)), (f5, (-1,)), (f9, (3, 0)), (f9, (0, -1)), (f9, (1, 1, 1))):
+        with pytest.raises(ValueError):
+            spec.element(bad)
+    assert f5.element(4) == f5.element((4,))
+    assert f9.element(8) == f9.element((2, 2))
+
+
+def test_log_tables_are_linear_size():
+    # one O(q) structure per extension field; prime fields have none
+    assert FieldSpec(101).tables is None
+    for q in (4, 9, 64):
+        spec = FieldSpec.from_order(q)
+        exp, log, zech = spec.tables
+        assert len(exp) == 6 * (q - 1) + 1 and len(log) == q
+        assert len(zech) == (0 if spec.p == 2 else 7 * (q - 1))
+        assert sorted(exp[: q - 1]) == list(range(1, q))  # a primitive element
+    big = parse_field("2^11:1,0,1,0,0,0,0,0,0,0,0,1")
+    assert len(big.tables.log) == 2048
+    assert big.mul_code(big.inv_code(1234), 1234) == 1
+
+
 def test_element_operators():
     f7 = FieldSpec(7)
     a, b = f7.element(3), f7.element(5)

@@ -30,6 +30,8 @@ F2 = FieldSpec(2)
 F3 = FieldSpec(3)
 F5 = FieldSpec(5)
 F7 = FieldSpec(7)
+F4 = FieldSpec.from_order(4)
+F9 = FieldSpec.from_order(9)
 
 
 def seq(field, codes):
@@ -85,7 +87,7 @@ def test_rank_one_patterns():
 
 @pytest.mark.parametrize(
     "field,rows,cols",
-    [(F2, 2, 3), (F2, 3, 3), (F3, 2, 2), (F3, 2, 3)],
+    [(F2, 2, 3), (F2, 3, 3), (F3, 2, 2), (F3, 2, 3), (F4, 2, 3), (F9, 2, 2)],
 )
 def test_rank_matches_minor_oracle(field, rows, cols):
     elems = ff_elements(field)
@@ -100,7 +102,7 @@ def test_det_identity():
 
 
 def test_det_matches_leibniz_exhaustive():
-    for field, n in ((F3, 2), (F2, 3)):
+    for field, n in ((F3, 2), (F2, 3), (F4, 2), (F9, 2)):
         elems = ff_elements(field)
         for data in itertools.product(elems, repeat=n * n):
             M = DenseMatrix(field, n, n, data)

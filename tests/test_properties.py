@@ -1,0 +1,168 @@
+"""Property tests of the fast field and elimination paths against slow ones.
+
+Fields are drawn at random in five classes: primes below 2^31, and
+extension fields with random irreducible moduli that are small (p = 2 or
+odd p), past q = 1024 with log tables, or above the table limit, where
+polynomial arithmetic runs.  Every test runs once per class.  Field code
+operations are checked against polynomial arithmetic and digit-wise
+addition; rank and determinant against the minor and Leibniz oracles,
+which use no elimination.  Runs are derandomized, so every run draws the
+same examples.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
+from hankelcensus.gf import _TABLE_LIMIT, FieldSpec, _is_irreducible, _is_prime
+from hankelcensus.hankel import (
+    DenseMatrix,
+    _rank_codes,
+    _rank_kernel,
+    _rank_rows_generic,
+    _rank_rows_log,
+    det,
+    rank_gauss,
+)
+
+PROPS = settings(derandomize=True, database=None, deadline=None, max_examples=30)
+
+# (p, d) choices per class; None stands for a random prime below 2^31
+CLASSES = {
+    "prime": [None],
+    "small-char2": [(2, 2), (2, 3), (2, 5), (2, 6)],
+    "small-odd": [(3, 2), (3, 3), (5, 2), (7, 2)],
+    "table": [(2, 11), (3, 7), (5, 5)],
+    "above-limit": [(2, 17), (3, 11), (5, 7)],
+}
+WITH_TABLES = ["small-char2", "small-odd", "table"]
+
+
+@st.composite
+def fields(draw, name):
+    choice = draw(st.sampled_from(CLASSES[name]))
+    if choice is None:
+        n = draw(st.integers(2, 2**31 - 1))
+        while not _is_prime(n):
+            n -= 1
+        return FieldSpec(n)
+    p, d = choice
+    start = draw(st.integers(0, p**d - 1))
+    # the first irreducible monic modulus at or after a random one
+    for step in itertools.count():
+        low = start + step
+        modulus = [(low // p**i) % p for i in range(d)] + [1]
+        if modulus[0] and _is_irreducible(modulus, p):
+            return FieldSpec(p, d, modulus)
+
+
+@st.composite
+def matrices(draw, name, max_dim=4, square=False):
+    field = draw(fields(name))
+    rows = draw(st.integers(1, max_dim))
+    cols = rows if square else draw(st.integers(1, max_dim))
+    # few distinct values, so that dependent rows and zero pivots are common
+    palette = draw(st.lists(st.integers(1, field.order - 1), min_size=1, max_size=3))
+    codes = draw(
+        st.lists(st.sampled_from([0] + palette), min_size=rows * cols, max_size=rows * cols)
+    )
+    data = tuple(field.element(c) for c in codes)
+    return DenseMatrix(field, rows, cols, data)
+
+
+def test_size_classes_straddle_the_table_limit():
+    assert all(p**d <= 64 for p, d in CLASSES["small-char2"] + CLASSES["small-odd"])
+    assert all(1024 < p**d <= _TABLE_LIMIT for p, d in CLASSES["table"])
+    assert all(p**d > _TABLE_LIMIT for p, d in CLASSES["above-limit"])
+
+
+@pytest.mark.parametrize("name", list(CLASSES))
+def test_tables_exist_only_for_extensions_within_the_limit(name):
+    @PROPS
+    @given(fields(name))
+    def check(spec):
+        tab = spec.tables
+        if name in WITH_TABLES:
+            assert all(isinstance(part, list) for part in tab)
+            assert len(tab.log) == spec.order
+        else:
+            assert tab is None
+
+    check()
+
+
+@pytest.mark.parametrize("name", list(CLASSES))
+def test_code_ops_match_polynomial_arithmetic(name):
+    @PROPS
+    @given(fields(name), st.data())
+    def check(spec, data):
+        q, p = spec.order, spec.p
+        codes = st.integers(0, q - 1)
+        for _ in range(20):
+            a, b = data.draw(codes), data.draw(codes)
+            da, db = spec.decode(a), spec.decode(b)
+            assert spec.add_code(a, b) == spec.encode([(x + y) % p for x, y in zip(da, db)])
+            assert spec.sub_code(a, b) == spec.encode([(x - y) % p for x, y in zip(da, db)])
+            assert spec.neg_code(a) == spec.encode([-x % p for x in da])
+            if spec.d == 1:
+                assert spec.mul_code(a, b) == a * b % p
+            else:
+                assert spec.mul_code(a, b) == spec._mul_code_raw(a, b)
+            if a:
+                assert spec.mul_code(a, spec.inv_code(a)) == 1
+        for a in (0, 1, q - 1):
+            assert spec.mul_code(a, 0) == spec.mul_code(0, a) == 0
+            assert spec.add_code(a, 0) == spec.add_code(0, a) == a
+            assert spec.add_code(a, spec.neg_code(a)) == 0
+
+    check()
+
+
+@pytest.mark.parametrize("name", list(CLASSES))
+def test_rank_matches_minor_oracle(name):
+    @PROPS
+    @given(matrices(name))
+    def check(M):
+        assert rank_gauss(M) == oracles.minor_rank(M)
+
+    check()
+
+
+@pytest.mark.parametrize("name", list(CLASSES))
+def test_det_matches_leibniz(name):
+    @PROPS
+    @given(matrices(name, square=True))
+    def check(M):
+        assert det(M) == oracles.leibniz_det(M)
+
+    check()
+
+
+@pytest.mark.parametrize("name", list(CLASSES))
+def test_kernel_limit_reports_excess(name):
+    @PROPS
+    @given(matrices(name), st.integers(0, 4))
+    def check(M, limit):
+        rank = oracles.minor_rank(M)
+        expected = rank if rank <= limit else limit + 1
+        assert _rank_kernel(M.field)(M.code_rows(), limit) == expected
+        assert _rank_codes(M.field, M.code_rows(), limit) == expected
+
+    check()
+
+
+@pytest.mark.parametrize("name", WITH_TABLES)
+def test_log_kernel_matches_generic_elimination(name):
+    # larger shapes than the minor oracle can afford
+    @PROPS
+    @given(matrices(name, max_dim=7))
+    def check(M):
+        limit = min(M.rows, M.cols)
+        expected, _ = _rank_rows_generic(M.field, M.code_rows(), limit)
+        assert _rank_rows_log(M.field.tables, M.code_rows(), limit) == expected
+
+    check()

@@ -11,15 +11,29 @@ a prefix a:
   * det = 0 for the square (n, n) view with k <= n: Q^(2n-k);
   * singular Jacobi-Trudi matrices with u, v >= 1: Q^(u+v-2).
 
-Every formula is paired with an exhaustive counter that enumerates all
-Q^(m+n+1-k) completions, and with a seeded Monte Carlo estimator for
-fields too large to sweep.  `verify` drives formula-vs-oracle comparisons
-and the property suites over a parameter grid and returns one report per
-checked family.
+Every formula is paired with an exhaustive counter that tallies all
+Q^(m+n+1-k) completions by rank, and with a seeded Monte Carlo estimator
+for fields too large to sweep.  `verify` drives formula-vs-oracle
+comparisons and the property suites over a parameter grid and returns one
+report per checked family.
 
-Enumeration partitions the suffix space by the value of the first free
-entry; slices may run on a thread pool and are recombined in slice order,
-so results never depend on the level of parallelism.
+The exhaustive counter walks the prefix tree of the tuple depth first.  It
+reads the Hankel view in whichever orientation has the shorter columns,
+with nrows entries per column, so that entry x_t completes column
+t-nrows+1, and keeps an echelon basis of the finished columns.  With
+x_t = y the new column's residual against that basis is r0 + y*re, where
+r0 is its residual at y = 0 and re that of the last unit vector.  So the
+values of x_t that keep the rank are known in closed form: exactly one if
+r0 is a multiple of re, and none otherwise (when re = 0, r0 is never 0 on
+a Hankel view, so none keeps it).  Whole subtrees are tallied without
+being visited, exactly: once the rank exceeds the limit asked for, or
+reaches nrows, every completion has that rank.  The last entry is never
+enumerated.  A fixed prefix goes into the basis before the walk starts.
+
+The walk is split by the value of the first free entry; slices may run
+on a thread pool and are recombined in slice order, so results never
+depend on the level of parallelism.  The cap is charged Q^(free) before
+the walk starts, an upper bound on the tuples it visits.
 """
 
 from __future__ import annotations
@@ -39,6 +53,7 @@ from hankelcensus.hankel import (
     _hankel_code_rows,
     _rank_codes,
     _rank_kernel,
+    _sub_mul_kernel,
     det,
     iter_seq_tuples,
     jt_matrix,
@@ -95,7 +110,7 @@ class CapExceededError(RuntimeError):
     """An exhaustive run would exceed the enumeration cap."""
 
     def __init__(self, required: int, cap: int):
-        super().__init__(f"enumeration needs {required} rank tests, cap is {cap}")
+        super().__init__(f"enumeration needs {required} steps, cap is {cap}")
         self.required = required
         self.cap = cap
 
@@ -295,8 +310,7 @@ def _map_blocks(fn, blocks, jobs: int):
     return [fn(b) for b in blocks]
 
 
-def _check_cap(q: int, free: int, cap: int) -> None:
-    work = q**free
+def _check_cap(work: int, cap: int) -> None:
     if work > cap:
         raise CapExceededError(work, cap)
 
@@ -322,21 +336,88 @@ def _tally_ranks(
 
     tallies[rho] counts completions whose (rdeg, cdeg) = shape view has
     rank rho; ranks above limit land in tallies[limit + 1].
+
+    The tallies come from a depth-first walk over the tuple prefix tree
+    that keeps an echelon basis of the view's finished columns (see the
+    module docstring).
     """
     q = spec.order
-    _check_cap(q, free, cap)
-    nrows, ncols = shape[0] + 1, shape[1] + 1
-    limit = min(limit, nrows, ncols)
-    kern = _rank_kernel(spec)
-    head = list(head)
+    _check_cap(q**free, cap)
+    # rank is transpose-invariant: walk the orientation with shorter columns
+    nrows, ncols = sorted((shape[0] + 1, shape[1] + 1))
+    limit = min(limit, nrows)
+    stop = min(limit + 1, nrows)  # a rank that settles every completion
+    last = nrows + ncols - 2  # index of the last entry
+    sub_mul = _sub_mul_kernel(spec)
+    mul, inv, neg = spec.mul_code, spec.inv_code, spec.neg_code
+    zero = [0] * nrows
+    unit = zero[1:] + [1]
+
+    def reduce(v: list[int], basis: list) -> list[int]:
+        # basis vectors are 1 at their pivot and 0 at earlier pivots
+        for piv, b in basis:
+            if v[piv]:
+                v = sub_mul(v, v[piv], b)
+        return v
+
+    def push(basis: list, v: list[int]) -> list:
+        piv = next(i for i, c in enumerate(v) if c)
+        s = inv(v[piv])
+        return basis + [(piv, [mul(s, c) for c in v])]
 
     def tally_block(first: tuple[int, ...]) -> list[int]:
         tallies = [0] * (limit + 2)
-        x = head + list(first) + [0] * (free - len(first))
-        base = len(head) + len(first)
-        for rest in itertools.product(range(q), repeat=free - len(first)):
-            x[base:] = rest
-            tallies[kern([x[i : i + ncols] for i in range(nrows)], limit)] += 1
+        x = list(head) + list(first) + [0] * (free - len(first))
+
+        def walk(t: int, basis: list) -> None:
+            # x[:t] is set and rank = len(basis) < stop; x_t completes column
+            # t - nrows + 1, whose residual for x_t = y is r0 + y*re
+            rank = len(basis)
+            if t < nrows - 1:
+                for y in range(q):
+                    x[t] = y
+                    walk(t + 1, basis)
+                return
+            x[t] = 0
+            r0 = reduce(x[t - nrows + 1 : t + 1], basis)
+            # Pivots sit at first nonzero entries, so re is e_last itself, or
+            # 0 once e_last is in the basis.  Either way r0 + y*re is 0 at
+            # the one y = -r0[-1] if r0 vanishes off its last entry, and at
+            # no y otherwise.  For re = 0 that needs r0 != 0: were e_last and
+            # the column at y = 0 both in the span, each annihilator (u', 0)
+            # of the span would give another, (0, u'), and there would be
+            # more than nrows - rank independent ones
+            re = zero if any(piv == nrows - 1 for piv, _ in basis) else unit
+            keep = [] if any(r0[:-1]) else [neg(r0[-1])]
+            raised = q - len(keep)
+            if t == last:
+                tallies[rank] += len(keep)
+                tallies[rank + 1] += raised
+                return
+            values = range(q)
+            if rank + 1 == stop:  # each raising value settles its subtree
+                tallies[stop] += raised * q ** (last - t)
+                values = keep
+            for y in values:
+                x[t] = y
+                if y in keep:
+                    walk(t + 1, basis)
+                else:
+                    walk(t + 1, push(basis, sub_mul(r0, neg(y), re)))
+
+        fixed = len(head) + len(first)
+        basis: list = []
+        for t in range(nrows - 1, fixed):
+            v = reduce(x[t - nrows + 1 : t + 1], basis)
+            if any(v):
+                basis = push(basis, v)
+                if len(basis) == stop:
+                    tallies[stop] += q ** (last + 1 - fixed)
+                    return tallies
+        if fixed > last:
+            tallies[len(basis)] += 1
+        else:
+            walk(fixed, basis)
         return tallies
 
     blocks = [()] if free == 0 else [(c,) for c in range(q)]
@@ -401,7 +482,7 @@ def brute_count_jt_singular(
     if path not in ("flip", "direct"):
         raise ValueError(f"unknown path {path!r}")
     q = field.order
-    _check_cap(q, u + v - 1, cap)
+    _check_cap(q ** (u + v - 1), cap)
     count = 0
     zero = field.zero
     for y in iter_seq_tuples(field, u + v - 1):
@@ -518,7 +599,6 @@ def suite_lemmas(
     max_n: int | None = None,
     *,
     cap: int = DEFAULT_CAP,
-    jobs: int = 1,
 ) -> list[CensusReport]:
     """Exhaustive sweep of the adjacent-rank chain and the shape reduction.
 
@@ -530,7 +610,7 @@ def suite_lemmas(
     started = time.perf_counter()
     q = field.order
     bound = max_n if max_n is not None else _lemma_bound(q)
-    _check_cap(q, bound + 1, cap)
+    _check_cap(q ** (bound + 1), cap)
     names = (
         "adjacent-rank/tall-le-wide",
         "adjacent-rank/wide-le-tall",
@@ -638,7 +718,6 @@ def suite_identities(
     max_n: int | None = None,
     *,
     cap: int = DEFAULT_CAP,
-    jobs: int = 1,
 ) -> list[CensusReport]:
     """Instance-wise checks of the two kernel-counting identities."""
     q = field.order
@@ -653,7 +732,7 @@ def suite_identities(
     first = None
     for n in range(n_hi + 1):
         for m in range(n + 2):
-            _check_cap(q, m + n + 1, cap)
+            _check_cap(q ** (m + n + 1), cap)
             for x in iter_seq_tuples(field, m + n + 1):
                 lhs, rhs = elkies_identity_sides(x, m, n)
                 instances += 1
@@ -673,7 +752,7 @@ def suite_identities(
     first = None
     for m in range(1, m_hi + 1):
         for n in range(n2_hi + 1):
-            _check_cap(q, m + n + 1, cap)
+            _check_cap(q ** (m + n + 1), cap)
             for k in range(min(m, n + 1) + 1):
                 for a in iter_seq_tuples(field, k):
                     lhs, rhs = sumlast_sides(field, m, n, a)
@@ -695,7 +774,6 @@ def suite_witnesses(
     max_n: int | None = None,
     *,
     cap: int = DEFAULT_CAP,
-    jobs: int = 1,
 ) -> list[CensusReport]:
     """Exhaustive checks of the constructive gadgets.
 
@@ -707,6 +785,17 @@ def suite_witnesses(
     """
     q = field.order
     m_hi, n_hi = _gadget_bounds_or_raise(q, max_n)
+    # both sweeps below test every tuple against every tail vector: the
+    # tail solver against (q-1)*q^m of them, the bijections against q^m - 1
+    # per prefix length k <= n+1
+    _check_cap(
+        sum(
+            ((q - 1) * q**m + (q**m - 1) * (n + 2)) * q ** (m + n + 1)
+            for m in range(m_hi + 1)
+            for n in range(n_hi + 1)
+        ),
+        cap,
+    )
     reports = []
     elements = field.elements()
 
@@ -723,7 +812,6 @@ def suite_witnesses(
     inst_count = 0
     for m in range(m_hi + 1):
         for n in range(n_hi + 1):
-            _check_cap(q, m + n + 1, cap)
             length = m + n + 1
             all_codes = list(itertools.product(range(q), repeat=length))
             for vtail in itertools.product(range(q), repeat=m):
@@ -809,7 +897,6 @@ def suite_witnesses(
     inst_closure = 0
     for m in range(1, m_hi + 1):
         for n in range(n_hi + 1):
-            _check_cap(q, m + n + 1, cap)
             length = m + n + 1
             for vtail in itertools.product(range(q), repeat=m):
                 if not any(vtail):
@@ -1001,7 +1088,6 @@ def suite_jt(
     max_n: int | None = None,
     *,
     cap: int = DEFAULT_CAP,
-    jobs: int = 1,
 ) -> list[CensusReport]:
     """Jacobi-Trudi singular counts via both the flip and the determinant."""
     q = field.order
@@ -1062,8 +1148,10 @@ def verify(
     for field in fields:
         for name in names:
             fn = _SUITE_FUNCS[name]
+            # only the theorem suite enumerates through the sliced engine
+            extra = {"jobs": jobs} if name == "theorems" else {}
             try:
-                reports.extend(fn(field, max_n, cap=cap, jobs=jobs))
+                reports.extend(fn(field, max_n, cap=cap, **extra))
             except CapExceededError as exc:
                 reports.append(
                     CensusReport(

@@ -11,6 +11,8 @@ on one of three elimination kernels: arithmetic mod p for prime fields,
 log-table lookups for extension fields that have tables, and a generic
 kernel over the field's code operations.  The generic kernel also
 returns the determinant, so det() and fields without tables share it.
+The same three representations serve the one-vector row update that
+incremental elimination binds with _sub_mul_kernel.
 """
 
 from __future__ import annotations
@@ -345,6 +347,35 @@ def _rank_kernel(spec: FieldSpec):
     if tab is not None:
         return partial(_rank_rows_log, tab)
     return lambda rows, limit: _rank_rows_generic(spec, rows, limit)[0]
+
+
+def _sub_mul_kernel(spec: FieldSpec):
+    """Bind (v, f, b) -> v - f*b on code lists, for incremental elimination.
+
+    It works in the same representation as the rank kernels, leaves v and
+    b as they are, and accepts f = 0.
+    """
+    if spec.d == 1:
+        p = spec.p
+        return lambda v, f, b: [(x - f * y) % p for x, y in zip(v, b)]
+    tab = spec.tables
+    if tab is None:
+        sub, mul = spec.sub_code, spec.mul_code
+        return lambda v, f, b: [sub(x, mul(f, y)) for x, y in zip(v, b)]
+    exp, log, zech = tab
+    L = len(log) - 1
+
+    def sub_mul(v, f, b):
+        if not f:
+            return v
+        if not zech:  # p = 2: subtraction is XOR
+            lf = log[f]
+            return [x ^ exp[lf + log[y]] for x, y in zip(v, b)]
+        # odd p: add (-f)*y by Zech logarithms, as in _rank_rows_log
+        c = 3 * L + (log[f] + L // 2) % L
+        return [exp[(lx := log[x]) + zech[c + log[y] - lx]] for x, y in zip(v, b)]
+
+    return sub_mul
 
 
 def _rank_codes(spec: FieldSpec, rows: list[list[int]], limit: int | None = None) -> int:

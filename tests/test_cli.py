@@ -176,6 +176,21 @@ def test_verify_pass(capsys):
     assert "s" in err
 
 
+def test_verify_witness_cap_counts_tail_vectors(capsys):
+    # the sweeps test (q-1)*q^m tail vectors against every tuple, so a cap
+    # charged only q^(m+n+1) let this run for more than 30 s; it now skips
+    # before doing any work
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "witnesses", "--field", "11", "--max-n", "2",
+        "--cap", "1000000",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("SKIP witnesses field=GF(11) reason=enumeration needs ")
+    assert "cap is 1000000" in lines[0]
+    assert lines[-1] == "result: pass (1 checks, 0 failures)"
+
+
 def test_verify_json(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "jt", "--field", "2", "--max-n", "3", "--format", "json"

@@ -6,8 +6,10 @@ odd p), past q = 1024 with log tables, or above the table limit, where
 polynomial arithmetic runs.  Every test runs once per class.  Field code
 operations are checked against polynomial arithmetic and digit-wise
 addition; rank and determinant against the minor and Leibniz oracles,
-which use no elimination.  Runs are derandomized, so every run draws the
-same examples.
+which use no elimination.  The prefix-tree walk behind the exhaustive
+counts is checked against a flat sweep that runs one rank kernel call
+per tuple, on small primes in place of the random ones.  Runs are
+derandomized, so every run draws the same examples.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from hankelcensus.census import _tally_ranks, _test_shape
 from hankelcensus.gf import _TABLE_LIMIT, FieldSpec, _is_irreducible, _is_prime
 from hankelcensus.hankel import (
     DenseMatrix,
@@ -25,6 +28,7 @@ from hankelcensus.hankel import (
     _rank_kernel,
     _rank_rows_generic,
     _rank_rows_log,
+    _sub_mul_kernel,
     det,
     rank_gauss,
 )
@@ -164,5 +168,102 @@ def test_log_kernel_matches_generic_elimination(name):
         limit = min(M.rows, M.cols)
         expected, _ = _rank_rows_generic(M.field, M.code_rows(), limit)
         assert _rank_rows_log(M.field.tables, M.code_rows(), limit) == expected
+
+    check()
+
+
+@pytest.mark.parametrize("name", list(CLASSES))
+def test_sub_mul_kernel_matches_code_operations(name):
+    @PROPS
+    @given(fields(name), st.data())
+    def check(spec, data):
+        codes = st.integers(0, spec.order - 1)
+        size = data.draw(st.integers(1, 5))
+        v = data.draw(st.lists(codes, min_size=size, max_size=size))
+        b = data.draw(st.lists(codes, min_size=size, max_size=size))
+        f = data.draw(st.one_of(st.just(0), codes))
+        assert _sub_mul_kernel(spec)(v, f, b) == [
+            spec.sub_code(x, spec.mul_code(f, y)) for x, y in zip(v, b)
+        ]
+
+    check()
+
+
+def flat_tallies(spec, head, free, shape, limit):
+    """The per-tuple sweep the walk replaced: one kernel call per completion."""
+    nrows, ncols = shape[0] + 1, shape[1] + 1
+    limit = min(limit, nrows, ncols)
+    kern = _rank_kernel(spec)
+    tallies = [0] * (limit + 2)
+    for rest in itertools.product(range(spec.order), repeat=free):
+        x = list(head) + list(rest)
+        tallies[kern([x[i : i + ncols] for i in range(nrows)], limit)] += 1
+    return tallies
+
+
+WALK_BUDGET = 4096  # most completions the flat sweep runs per example
+
+
+@st.composite
+def walk_cases(draw, name):
+    """(field, m, n, r, head) in all three regimes, with Q^free <= WALK_BUDGET.
+
+    Heads range from empty to the whole tuple; "saturated" heads already
+    give the first r+1 columns of the reduced view full rank.
+    """
+    if name == "prime":
+        spec = FieldSpec(draw(st.sampled_from((2, 3, 5, 7, 11, 13))))
+    else:
+        spec = draw(fields(name))
+    q = spec.order
+    free_max = 0
+    # above the table limit one rank costs about a millisecond, so the flat
+    # sweep there affords whole tuples only
+    while name != "above-limit" and q ** (free_max + 1) <= WALK_BUDGET:
+        free_max += 1
+    regime = draw(st.sampled_from(("standard", "full-width", "past-min")))
+    if regime == "full-width":
+        n = draw(st.integers(0, 3))
+        m = r = n + 1
+    else:
+        m, n = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+        if regime == "standard":
+            r = draw(st.integers(0, min(m, n)))
+        else:
+            r = draw(st.integers(min(m, n) + 1, min(m, n) + 2))
+    length = m + n + 1
+    rows = min(_test_shape(m, n, r)) + 1  # column length of the walked view
+    lowest = max(0, length - free_max)
+    kind = draw(st.sampled_from(("empty", "full", "random", "saturated")))
+    saturated = kind == "saturated" and r < rows and r + rows <= length
+    if kind == "empty":
+        k = lowest
+    elif kind == "full":
+        k = length
+    elif saturated:
+        k = max(lowest, r + rows)
+    else:
+        k = draw(st.integers(lowest, length))
+    palette = draw(st.lists(st.integers(1, q - 1), min_size=1, max_size=3))
+    head = draw(st.lists(st.sampled_from([0] + palette), min_size=k, max_size=k))
+    if saturated:
+        # zeros and then a one: column j has its first nonzero at row
+        # rows-1-j, so columns 0..r are independent
+        head[:rows] = [0] * (rows - 1) + [1]
+    return spec, m, n, r, head
+
+
+@pytest.mark.parametrize("name", list(CLASSES))
+def test_walk_matches_flat_sweep(name):
+    @PROPS
+    @given(walk_cases(name))
+    def check(case):
+        spec, m, n, r, head = case
+        free = m + n + 1 - len(head)
+        # the rank-bound view with limit r, and the census view
+        for shape, limit in ((_test_shape(m, n, r), r), ((m, n), min(m, n) + 1)):
+            expected = flat_tallies(spec, head, free, shape, limit)
+            for jobs in (1, 3):
+                assert _tally_ranks(spec, head, free, shape, limit, 10**9, jobs) == expected
 
     check()

@@ -30,10 +30,23 @@ being visited, exactly: once the rank exceeds the limit asked for, or
 reaches nrows, every completion has that rank.  The last entry is never
 enumerated.  A fixed prefix goes into the basis before the walk starts.
 
-The walk is split by the value of the first free entry; slices may run
-on a thread pool and are recombined in slice order, so results never
-depend on the level of parallelism.  The cap is charged Q^(free) before
-the walk starts, an upper bound on the tuples it visits.
+The walk is split by the value of the first free entry; with jobs > 1
+the slices are cut into at most `jobs` contiguous runs, one thread-pool
+task each, and recombined in slice order, so results never depend on the
+level of parallelism.  The cap is charged Q^(free) before the walk
+starts, an upper bound on the tuples it visits.
+
+The witness suite tests each tuple's annihilation once per gadget vector
+and view, not once per prefix.  For every vector v it flags all tuples in
+odometer order, one sweep for v on the (m, n) view and, for last(v) = 0,
+one for R(v) on the (m-1, n+1) view.  The tuples with a given k-prefix
+are then one contiguous block of Q^(m+n+1-k) flags, so the weakly and
+strongly nice tuples of each (v, prefix) are read off a block, and
+tuple objects are built only for flagged tuples.  The checks that follow
+(the count ratio, both round trips through alpha and beta, and the
+closure of the freed entry) run through the public gadget API, one
+NiceContext per (v, prefix).  The cap is charged those sweeps: one test
+per tuple for each tail-solver vector, two for each bijection vector.
 """
 
 from __future__ import annotations
@@ -64,7 +77,7 @@ from hankelcensus.witness import (
     NiceContext,
     R_inv,
     R_map,
-    _annihilates_codes,
+    _annihilation_flags,
     alpha,
     beta,
     is_strongly_nice,
@@ -304,9 +317,16 @@ def rank_le_probability(query: CountQuery) -> Fraction:
 
 
 def _map_blocks(fn, blocks, jobs: int):
+    # [fn(b) for b in blocks]; with jobs > 1, one future per contiguous run
+    # of blocks, at most `jobs` of them, and results kept in block order
     if jobs > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=min(jobs, len(blocks))) as ex:
-            return list(ex.map(fn, blocks))
+        runs = min(jobs, len(blocks))
+        size, extra = divmod(len(blocks), runs)
+        cuts = [i * size + min(i, extra) for i in range(runs + 1)]
+        chunks = [blocks[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+        with ThreadPoolExecutor(max_workers=runs) as ex:
+            parts = ex.map(lambda chunk: [fn(b) for b in chunk], chunks)
+            return [out for part in parts for out in part]
     return [fn(b) for b in blocks]
 
 
@@ -785,12 +805,12 @@ def suite_witnesses(
     """
     q = field.order
     m_hi, n_hi = _gadget_bounds_or_raise(q, max_n)
-    # both sweeps below test every tuple against every tail vector: the
-    # tail solver against (q-1)*q^m of them, the bijections against q^m - 1
-    # per prefix length k <= n+1
+    # the sweeps below test every tuple once per gadget vector: the tail
+    # solver against (q-1)*q^m of them, the bijections against q^m - 1 of
+    # them on two views each
     _check_cap(
         sum(
-            ((q - 1) * q**m + (q**m - 1) * (n + 2)) * q ** (m + n + 1)
+            ((q - 1) * q**m + 2 * (q**m - 1)) * q ** (m + n + 1)
             for m in range(m_hi + 1)
             for n in range(n_hi + 1)
         ),
@@ -818,11 +838,8 @@ def suite_witnesses(
                 for vlast in range(1, q):
                     vcodes = vtail + (vlast,)
                     v = RowVector.from_codes(field, vcodes)
-                    solutions = {
-                        xc
-                        for xc in all_codes
-                        if _annihilates_codes(field, vcodes, xc, n + 1)
-                    }
+                    flags = _annihilation_flags(field, vcodes, n + 1, length)
+                    solutions = set(itertools.compress(all_codes, flags))
                     constructed = set()
                     for head in iter_seq_tuples(field, m):
                         out = solve_tail(v, head, n)
@@ -887,7 +904,8 @@ def suite_witnesses(
         _timed("truncation-bijection", field, params, 0, bad_trunc, "brute", started)
     )
 
-    # alpha/beta bijection, count ratio, freed-entry closure
+    # alpha/beta bijection, count ratio, freed-entry closure; the nice
+    # tuples of each (v, prefix) are one block of the sweeps' flags
     started = time.perf_counter()
     bad = dict.fromkeys(
         ("free-entry-bijection", "weak-strong-count-ratio", "free-entry-closure"), 0
@@ -898,29 +916,48 @@ def suite_witnesses(
     for m in range(1, m_hi + 1):
         for n in range(n_hi + 1):
             length = m + n + 1
+            all_codes = list(itertools.product(range(q), repeat=length))
+            seqs: dict[int, SeqTuple] = {}  # built on first use, shared by all v
+
+            def flagged(flags: list[bool], lo: int, hi: int) -> list[SeqTuple]:
+                out = []
+                for i in itertools.compress(range(lo, hi), flags[lo:hi]):
+                    x = seqs.get(i)
+                    if x is None:
+                        x = seqs[i] = SeqTuple(
+                            field, tuple(elements[c] for c in all_codes[i])
+                        )
+                    out.append(x)
+                return out
+
             for vtail in itertools.product(range(q), repeat=m):
                 if not any(vtail):
                     continue
                 v = RowVector.from_codes(field, vtail + (0,))
+                weak_flags = _annihilation_flags(field, v.codes, n + 1, length)
+                strong_flags = _annihilation_flags(field, vtail, n + 2, length)
                 for k in range(n + 2):
-                    for a in iter_seq_tuples(field, k):
+                    size = q ** (length - k)
+                    for b, a in enumerate(iter_seq_tuples(field, k)):
                         ctx = NiceContext(field, m, n, v, a)
                         where = f"v={v.codes} a={a.codes} m={m} n={n}"
-                        weak = []
-                        strong = []
-                        for x in iter_seq_tuples(field, length, a):
-                            if is_weakly_nice(x, ctx):
-                                weak.append(x)
-                            if is_strongly_nice(x, ctx):
-                                strong.append(x)
+                        lo, hi = b * size, (b + 1) * size
+                        weak = flagged(weak_flags, lo, hi)
+                        strong = flagged(strong_flags, lo, hi)
                         inst_ratio += 1
                         if len(weak) != q * len(strong):
                             flag("weak-strong-count-ratio", bad, where)
                         pos = ctx.j + ctx.n + 1
+                        # alpha and beta refuse tuples that are not nice, which
+                        # only a wrong flag can hand them: count it as a miss
                         for x in weak:
-                            y, s = beta(x, ctx)
                             inst_bij += 1
-                            if not is_strongly_nice(s, ctx) or alpha(y, s, ctx) != x:
+                            try:
+                                y, s = beta(x, ctx)
+                                ok = is_strongly_nice(s, ctx) and alpha(y, s, ctx) == x
+                            except ValueError:
+                                ok = False
+                            if not ok:
                                 flag("free-entry-bijection", bad, f"{where} x={x.codes}")
                             for y2 in elements:
                                 mutated = SeqTuple(
@@ -932,9 +969,13 @@ def suite_witnesses(
                                     flag("free-entry-closure", bad, f"{where} x={x.codes}")
                         for s in strong:
                             for y in elements:
-                                x2 = alpha(y, s, ctx)
                                 inst_bij += 1
-                                if not is_weakly_nice(x2, ctx) or beta(x2, ctx) != (y, s):
+                                try:
+                                    x2 = alpha(y, s, ctx)
+                                    ok = is_weakly_nice(x2, ctx) and beta(x2, ctx) == (y, s)
+                                except ValueError:
+                                    ok = False
+                                if not ok:
                                     flag("free-entry-bijection", bad, f"{where} x={s.codes}")
     for name, count in (
         ("free-entry-bijection", inst_bij),

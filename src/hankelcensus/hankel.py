@@ -238,12 +238,13 @@ def _rank_rows_modp(p: int, rows: list[list[int]], limit: int) -> int:
             return rank
         rows[top], rows[piv] = rows[piv], rows[top]
         prow = rows[top]
-        pinv = pow(prow[col], p - 2, p)
+        a = prow[col]
+        # row_i <- a*row_i - f*prow clears the column without inverting the
+        # pivot; scaling a row by a != 0 leaves the rank as it is
         for i in range(top + 1, nrows):
             f = rows[i][col]
             if f:
-                f = f * pinv % p
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], prow)]
+                rows[i] = [(a * x - f * y) % p for x, y in zip(rows[i], prow)]
         top += 1
         if top == nrows:
             break

@@ -80,6 +80,35 @@ def _annihilates_codes(
     return True
 
 
+def _annihilation_flags(
+    spec: FieldSpec, vcodes: tuple[int, ...], ncols: int, length: int
+) -> list[bool]:
+    """`_annihilates_codes` on every code tuple of the given length.
+
+    Flags come in `itertools.product` order, so the tuples that share a
+    k-prefix with code value b (read base Q, first entry most significant)
+    are the contiguous block b*Q^(length-k) .. (b+1)*Q^(length-k) - 1.
+    """
+    q = spec.order
+    width = len(vcodes)
+    # column t is annihilated exactly when its window x_t..x_{t+width-1}
+    # is, so the field arithmetic runs once per window, not once per tuple
+    zero_windows = {
+        w
+        for w in itertools.product(range(q), repeat=width)
+        if _annihilates_codes(spec, vcodes, w, 1)
+    }
+    flags = []
+    for x in itertools.product(range(q), repeat=length):
+        ok = True
+        for t in range(ncols):
+            if x[t : t + width] not in zero_windows:
+                ok = False
+                break
+        flags.append(ok)
+    return flags
+
+
 def solve_tail(v: RowVector, head: SeqTuple, n: int) -> SeqTuple:
     """The unique x of length m+n+1 extending head with v annihilating it.
 

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 
+from hankelcensus import census
 from hankelcensus.census import (
     CapExceededError,
     CountQuery,
@@ -24,7 +26,7 @@ from hankelcensus.census import (
     target_stderr,
     verify,
 )
-from hankelcensus.census import _draw_codes, _mix64
+from hankelcensus.census import _draw_codes, _map_blocks, _mix64
 from hankelcensus.gf import FieldSpec
 from hankelcensus.hankel import SeqTuple, iter_seq_tuples
 
@@ -140,11 +142,31 @@ def test_partition_by_first_free_entry():
 
 
 def test_jobs_do_not_change_counts():
-    query = CountQuery(F3, 2, 3, 2)
-    assert brute_count_rank_le(query, jobs=1) == brute_count_rank_le(query, jobs=4)
-    d1 = brute_census(F3, 2, 2, jobs=1)
-    d4 = brute_census(F3, 2, 2, jobs=4)
-    assert d1 == d4
+    # jobs > 1 cuts the q first-free-entry slices into contiguous runs:
+    # fewer runs than slices, as many, and more jobs than slices
+    for field in (F3, FieldSpec(5)):
+        query = CountQuery(field, 2, 3, 2)
+        count = brute_count_rank_le(query, jobs=1)
+        dist = brute_census(field, 2, 2, jobs=1)
+        for jobs in (2, 3, 4, field.order + 2):
+            assert brute_count_rank_le(query, jobs=jobs) == count
+            assert brute_census(field, 2, 2, jobs=jobs) == dist
+
+
+def test_map_blocks_submits_at_most_jobs_futures(monkeypatch):
+    submitted = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            submitted.append(fn)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(census, "ThreadPoolExecutor", CountingPool)
+    blocks = list(range(7))
+    for jobs in (1, 2, 3, 7, 10):
+        submitted.clear()
+        assert _map_blocks(lambda b: b * b, blocks, jobs) == [b * b for b in blocks]
+        assert len(submitted) == (0 if jobs == 1 else min(jobs, len(blocks)))
 
 
 def test_brute_census_values():

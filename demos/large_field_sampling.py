@@ -11,7 +11,7 @@ reproduces the estimate bit for bit.
 import time
 
 from hankelcensus import CountQuery, FieldSpec, monte_carlo_rank_le
-from hankelcensus.census import rank_le_probability
+from hankelcensus.census import rank_le_probability, target_stderr
 
 field = FieldSpec(101)
 query = CountQuery(field, 4, 4, 4)
@@ -23,7 +23,9 @@ for trials in (10_000, 100_000):
     t0 = time.perf_counter()
     est = monte_carlo_rank_le(query, trials, rng_seed=7)
     dt = time.perf_counter() - t0
-    z = (float(est.estimate) - float(target)) / est.stderr
+    # the spread under the predicted probability, as `sample` uses: the
+    # estimate's own stderr is 0 when no trial succeeds
+    z = float(est.estimate - target) / target_stderr(target, trials)
     print(
         f"{trials:>7} trials: {est.successes:>5} hits, "
         f"estimate {float(est.estimate):.6f} +- {est.stderr:.6f}, "

@@ -56,8 +56,9 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from functools import wraps
 from math import sqrt
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from hankelcensus.gf import FieldSpec
 from hankelcensus.hankel import (
@@ -120,12 +121,17 @@ SUITES = ("lemmas", "identities", "witnesses", "theorems", "jt")
 
 
 class CapExceededError(RuntimeError):
-    """An exhaustive run would exceed the enumeration cap."""
+    """An exhaustive run would exceed the enumeration cap.
+
+    Raised out of a verify suite, it carries in `reports` the suite's
+    reports that were finished before the cap was hit.
+    """
 
     def __init__(self, required: int, cap: int):
         super().__init__(f"enumeration needs {required} steps, cap is {cap}")
         self.required = required
         self.cap = cap
+        self.reports: list[CensusReport] = []
 
 
 @dataclass(frozen=True)
@@ -599,6 +605,26 @@ def _timed(check, field, params, formula, observed, mode, started) -> CensusRepo
     )
 
 
+def _suite(gen):
+    """Collect a suite's reports, as they finish, into a list.
+
+    A cap hit partway leaves the finished reports on the CapExceededError.
+    """
+
+    @wraps(gen)
+    def run(*args, **kwargs) -> list[CensusReport]:
+        reports: list[CensusReport] = []
+        try:
+            for report in gen(*args, **kwargs):
+                reports.append(report)
+        except CapExceededError as exc:
+            exc.reports = reports
+            raise
+        return reports
+
+    return run
+
+
 def _len_bound(q: int, ceiling: int = 1024, lo: int = 1, hi: int = 4) -> int:
     n = lo
     while n < hi and q ** (n + 2) <= ceiling:
@@ -614,12 +640,13 @@ def _lemma_bound(q: int) -> int:
     return _len_bound(q)
 
 
+@_suite
 def suite_lemmas(
     field: FieldSpec,
     max_n: int | None = None,
     *,
     cap: int = DEFAULT_CAP,
-) -> list[CensusReport]:
+) -> Iterator[CensusReport]:
     """Exhaustive sweep of the adjacent-rank chain and the shape reduction.
 
     For every tuple x of length max_n+1 and every legal shape, checks the
@@ -700,15 +727,11 @@ def suite_lemmas(
             direct = rank_of(m, n) <= r
             if rank_le_fast(x, m, n, r) != direct:
                 flag("rank-bound-reduction", f"m={m} n={n} r={r} x={codes}")
-    reports = []
     for name in names:
         params = {"max_n": bound, "instances": instances[name], "unit": "violations"}
         if name in firsts:
             params["first_violation"] = firsts[name]
-        reports.append(
-            _timed(name, field, params, 0, violations[name], "brute", started)
-        )
-    return reports
+        yield _timed(name, field, params, 0, violations[name], "brute", started)
 
 
 _GADGET_WORK_LIMIT = 300_000
@@ -724,24 +747,36 @@ def _gadget_bounds(q: int) -> tuple[int, int] | None:
     return None
 
 
-def _gadget_bounds_or_raise(q: int, max_n: int | None) -> tuple[int, int]:
+class _NoGadgetGrid(CapExceededError):
+    # even the smallest default grid is over the work limit, which --cap
+    # does not lift; an explicit max_n (--max-n) picks a grid instead
+    def __init__(self, field: FieldSpec):
+        q = field.order
+        super().__init__((q - 1) * q * q**2, _GADGET_WORK_LIMIT)
+        self.args = (
+            f"no default grid fits {field}: the smallest needs {self.required} "
+            f"steps, over the limit of {self.cap}; --max-n picks one",
+        )
+
+
+def _gadget_bounds_or_raise(field: FieldSpec, max_n: int | None) -> tuple[int, int]:
     if max_n is not None:
         return min(3, max_n), min(2, max_n)
-    bounds = _gadget_bounds(q)
+    bounds = _gadget_bounds(field.order)
     if bounds is None:
-        raise CapExceededError((q - 1) * q * q**2, _GADGET_WORK_LIMIT)
+        raise _NoGadgetGrid(field)
     return bounds
 
 
+@_suite
 def suite_identities(
     field: FieldSpec,
     max_n: int | None = None,
     *,
     cap: int = DEFAULT_CAP,
-) -> list[CensusReport]:
+) -> Iterator[CensusReport]:
     """Instance-wise checks of the two kernel-counting identities."""
     q = field.order
-    reports = []
     started = time.perf_counter()
     if max_n is not None:
         n_hi = max_n
@@ -762,11 +797,9 @@ def suite_identities(
     params = {"max_n": n_hi, "instances": instances, "unit": "violations"}
     if first:
         params["first_violation"] = first
-    reports.append(
-        _timed("annihilator-count-identity", field, params, 0, bad, "brute", started)
-    )
+    yield _timed("annihilator-count-identity", field, params, 0, bad, "brute", started)
     started = time.perf_counter()
-    m_hi, n2_hi = _gadget_bounds_or_raise(q, max_n)
+    m_hi, n2_hi = _gadget_bounds_or_raise(field, max_n)
     bad = 0
     instances = 0
     first = None
@@ -783,18 +816,16 @@ def suite_identities(
     params = {"max_m": m_hi, "max_n": n2_hi, "instances": instances, "unit": "violations"}
     if first:
         params["first_violation"] = first
-    reports.append(
-        _timed("annihilator-sum-identity", field, params, 0, bad, "brute", started)
-    )
-    return reports
+    yield _timed("annihilator-sum-identity", field, params, 0, bad, "brute", started)
 
 
+@_suite
 def suite_witnesses(
     field: FieldSpec,
     max_n: int | None = None,
     *,
     cap: int = DEFAULT_CAP,
-) -> list[CensusReport]:
+) -> Iterator[CensusReport]:
     """Exhaustive checks of the constructive gadgets.
 
     Covers: solve_tail outputs are exactly the annihilating tuples and
@@ -804,7 +835,7 @@ def suite_witnesses(
     weak/strong counts differ by a factor of exactly Q.
     """
     q = field.order
-    m_hi, n_hi = _gadget_bounds_or_raise(q, max_n)
+    m_hi, n_hi = _gadget_bounds_or_raise(field, max_n)
     # the sweeps below test every tuple once per gadget vector: the tail
     # solver against (q-1)*q^m of them, the bijections against q^m - 1 of
     # them on two views each
@@ -816,7 +847,6 @@ def suite_witnesses(
         ),
         cap,
     )
-    reports = []
     elements = field.elements()
 
     firsts: dict[str, str] = {}
@@ -867,15 +897,13 @@ def suite_witnesses(
     params = {"max_m": m_hi, "max_n": n_hi, "instances": inst_solve, "unit": "violations"}
     if "tail-solver-annihilation" in firsts:
         params["first_violation"] = firsts["tail-solver-annihilation"]
-    reports.append(
-        _timed("tail-solver-annihilation", field, params, 0, bad["tail-solver-annihilation"], "brute", started)
+    yield _timed(
+        "tail-solver-annihilation", field, params, 0, bad["tail-solver-annihilation"], "brute", started
     )
     params = {"max_m": m_hi, "max_n": n_hi, "instances": inst_count, "unit": "violations"}
     if "tail-solver-count" in firsts:
         params["first_violation"] = firsts["tail-solver-count"]
-    reports.append(
-        _timed("tail-solver-count", field, params, 0, bad["tail-solver-count"], "brute", started)
-    )
+    yield _timed("tail-solver-count", field, params, 0, bad["tail-solver-count"], "brute", started)
 
     # truncation map bijection
     started = time.perf_counter()
@@ -900,9 +928,7 @@ def suite_witnesses(
     params = {"max_m": m_hi, "instances": inst, "unit": "violations"}
     if first_trunc:
         params["first_violation"] = first_trunc
-    reports.append(
-        _timed("truncation-bijection", field, params, 0, bad_trunc, "brute", started)
-    )
+    yield _timed("truncation-bijection", field, params, 0, bad_trunc, "brute", started)
 
     # alpha/beta bijection, count ratio, freed-entry closure; the nice
     # tuples of each (v, prefix) are one block of the sweeps' flags
@@ -985,8 +1011,7 @@ def suite_witnesses(
         params = {"max_m": m_hi, "max_n": n_hi, "instances": count, "unit": "violations"}
         if name in firsts:
             params["first_violation"] = firsts[name]
-        reports.append(_timed(name, field, params, 0, bad[name], "brute", started))
-    return reports
+        yield _timed(name, field, params, 0, bad[name], "brute", started)
 
 
 def _prefix_family(field, m, n, r, k, formula, cap, jobs):
@@ -1008,20 +1033,20 @@ def _prefix_family(field, m, n, r, k, formula, cap, jobs):
     return formula, {}, total
 
 
+@_suite
 def suite_theorems(
     field: FieldSpec,
     max_n: int | None = None,
     *,
     cap: int = DEFAULT_CAP,
     jobs: int = 1,
-) -> list[CensusReport]:
+) -> Iterator[CensusReport]:
     """Formula-vs-oracle sweeps for all counting laws on a small grid."""
     q = field.order
     if max_n is not None:
         bound = max_n
     else:
         bound = 3 if q <= 4 else 2 if q <= 9 else 1 if q <= 30 else 0
-    reports = []
     # prefix-fixed and unrestricted rank-bound counts
     for n in range(bound + 1):
         for m in range(n + 1):
@@ -1033,28 +1058,19 @@ def suite_theorems(
                         field, m, n, r, k, formula, cap, jobs
                     )
                     check = "unrestricted-count" if k == 0 else "prefix-fixed-count"
-                    reports.append(
-                        _timed(
-                            check,
-                            field,
-                            {"m": m, "n": n, "r": r, "k": k, **extra},
-                            formula,
-                            observed,
-                            "brute",
-                            started,
-                        )
+                    params = {"m": m, "n": n, "r": r, "k": k}
+                    yield _timed(
+                        check, field, {**params, **extra}, formula, observed, "brute", started
                     )
                     if k > 0:
-                        reports.append(
-                            _timed(
-                                "prefix-count-consistency",
-                                field,
-                                {"m": m, "n": n, "r": r, "k": k},
-                                q ** (2 * r),
-                                total,
-                                "brute",
-                                started,
-                            )
+                        yield _timed(
+                            "prefix-count-consistency",
+                            field,
+                            params,
+                            q ** (2 * r),
+                            total,
+                            "brute",
+                            started,
                         )
     # full-width range r = m = n+1
     for m in range(1, bound + 1):
@@ -1063,17 +1079,8 @@ def suite_theorems(
             started = time.perf_counter()
             formula = q ** (m + n + 1 - k)
             observed, extra, _ = _prefix_family(field, m, n, m, k, formula, cap, jobs)
-            reports.append(
-                _timed(
-                    "full-width-count",
-                    field,
-                    {"m": m, "n": n, "r": m, "k": k, **extra},
-                    formula,
-                    observed,
-                    "brute",
-                    started,
-                )
-            )
+            params = {"m": m, "n": n, "r": m, "k": k, **extra}
+            yield _timed("full-width-count", field, params, formula, observed, "brute", started)
     # rank-exact census against the piecewise formula, branch by branch
     census_bound = bound if q <= 3 else min(bound, 2 if q <= 9 else 1)
     for n in range(census_bound + 1):
@@ -1081,27 +1088,23 @@ def suite_theorems(
             started = time.perf_counter()
             dist = brute_census(field, m, n, None, cap, jobs=jobs)
             for r in range(m + 3):
-                reports.append(
-                    _timed(
-                        "rank-exact-census",
-                        field,
-                        {"m": m, "n": n, "r": r},
-                        count_rank_eq_formula(field, m, n, r),
-                        dist.counts.get(r, 0),
-                        "brute",
-                        started,
-                    )
-                )
-            reports.append(
-                _timed(
-                    "census-total",
+                yield _timed(
+                    "rank-exact-census",
                     field,
-                    {"m": m, "n": n},
-                    q ** (m + n + 1),
-                    dist.total,
+                    {"m": m, "n": n, "r": r},
+                    count_rank_eq_formula(field, m, n, r),
+                    dist.counts.get(r, 0),
                     "brute",
                     started,
                 )
+            yield _timed(
+                "census-total",
+                field,
+                {"m": m, "n": n},
+                q ** (m + n + 1),
+                dist.total,
+                "brute",
+                started,
             )
     # determinant-vanishing counts
     det_bound = min(2 if q <= 3 else 1, bound)
@@ -1110,33 +1113,23 @@ def suite_theorems(
             started = time.perf_counter()
             formula = count_det_zero_formula(field, n, k)
             observed, extra, _ = _prefix_family(field, n, n, n, k, formula, cap, jobs)
-            reports.append(
-                _timed(
-                    "det-zero-count",
-                    field,
-                    {"n": n, "k": k, **extra},
-                    formula,
-                    observed,
-                    "brute",
-                    started,
-                )
-            )
-    return reports
+            params = {"n": n, "k": k, **extra}
+            yield _timed("det-zero-count", field, params, formula, observed, "brute", started)
 
 
+@_suite
 def suite_jt(
     field: FieldSpec,
     max_n: int | None = None,
     *,
     cap: int = DEFAULT_CAP,
-) -> list[CensusReport]:
+) -> Iterator[CensusReport]:
     """Jacobi-Trudi singular counts via both the flip and the determinant."""
     q = field.order
     if max_n is not None:
         weight = max_n
     else:
         weight = 6 if q <= 3 else 4 if q <= 9 else 2
-    reports = []
     for total in range(1, weight + 1):
         for u in range(1, total + 1):
             v = total + 1 - u
@@ -1145,16 +1138,9 @@ def suite_jt(
             flip = brute_count_jt_singular(field, u, v, cap, path="flip")
             direct = brute_count_jt_singular(field, u, v, cap, path="direct")
             params = {"u": u, "v": v}
-            reports.append(
-                _timed("jt-singular-count-flip", field, params, formula, flip, "brute", started)
-            )
-            reports.append(
-                _timed("jt-singular-count-direct", field, params, formula, direct, "brute", started)
-            )
-            reports.append(
-                _timed("jt-path-agreement", field, params, flip, direct, "brute", started)
-            )
-    return reports
+            yield _timed("jt-singular-count-flip", field, params, formula, flip, "brute", started)
+            yield _timed("jt-singular-count-direct", field, params, formula, direct, "brute", started)
+            yield _timed("jt-path-agreement", field, params, flip, direct, "brute", started)
 
 
 _SUITE_FUNCS = {
@@ -1176,8 +1162,9 @@ def verify(
 ) -> list[CensusReport]:
     """Run one suite (or "all") over the given fields.
 
-    Returns one report per checked instance family; resource-capped
-    entries come back with verdict "skipped" instead of raising.
+    Returns one report per checked instance family.  A suite that hits
+    the cap keeps the reports it finished and ends with one report of
+    verdict "skipped" instead of raising.
     """
     if suite == "all":
         names = SUITES
@@ -1194,6 +1181,7 @@ def verify(
             try:
                 reports.extend(fn(field, max_n, cap=cap, **extra))
             except CapExceededError as exc:
+                reports.extend(exc.reports)
                 reports.append(
                     CensusReport(
                         name,

@@ -404,6 +404,12 @@ def _cmd_sample(args) -> int:
 # ----------------------------------------------------------------------
 
 
+_JOBS_HELP = (
+    "enumeration slices run on this many threads; under CPython's GIL they "
+    "give no speedup (default: available cores)"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hankel-census",
@@ -418,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
         if cap:
             p.add_argument("--cap", type=int, default=None, help="enumeration cap (default 10^7 or HANKEL_CENSUS_CAP)")
         if jobs:
-            p.add_argument("--jobs", type=int, default=None, help="parallel slices (default: available cores)")
+            p.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
 
     p = sub.add_parser("rank", help="rank of a Hankel matrix from explicit entries")
     common(p)
@@ -461,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--output", default="-")
     p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("sample", help="seeded Monte Carlo estimate of the rank-bound probability")

@@ -6,13 +6,17 @@ be -1, giving a legal empty matrix of rank 0.  Rank, determinant and left
 kernel dimension are computed by exact Gaussian elimination with partial
 pivoting on the first nonzero entry.
 
-Internally rows are lists of integer element codes (see gf).  Rank runs
-on one of three elimination kernels: arithmetic mod p for prime fields,
-log-table lookups for extension fields that have tables, and a generic
-kernel over the field's code operations.  The generic kernel also
-returns the determinant, so det() and fields without tables share it.
-The same three representations serve the one-vector row update that
-incremental elimination binds with _sub_mul_kernel.
+Internally rows are lists of integer element codes (see gf).  Rank and
+determinant run one pivot loop: it finds each column's first nonzero
+entry below the rows already used, and hands it to a step bound once per
+field, which swaps that row up and clears the column below it.  Prime
+fields step with a*row - f*prow mod p, which needs no pivot inverse;
+extension fields with log tables subtract (f/a)*prow by XOR for p = 2 or
+by Zech logarithms for odd p; larger fields use the code operations.
+det() runs the code-operation step on every field, since it keeps the
+determinant as it is, and tracks the pivot product and swap sign.  The
+same binder gives the one-vector row update of incremental elimination
+(_sub_mul_kernel).
 """
 
 from __future__ import annotations
@@ -214,169 +218,141 @@ class RowVector:
 
 
 # ----------------------------------------------------------------------
-# Elimination kernels on integer-code rows.  All of them mutate `rows`.
-# `limit` stops the pivot hunt early: the return value is exact when it is
-# <= limit, and limit+1 means "rank exceeds limit".
+# Elimination on integer-code rows.  One pivot loop serves every field; a
+# step bound once per field swaps the pivot row up and clears its column
+# in every row below.  Both mutate `rows`.  `limit` stops the pivot hunt
+# early: the rank returned is exact when it is <= limit, and limit+1 means
+# "rank exceeds limit".
 # ----------------------------------------------------------------------
 
 
-def _rank_rows_modp(p: int, rows: list[list[int]], limit: int) -> int:
+def _pivot_loop(step, rows: list[list[int]], limit: int) -> int:
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     rank = 0
-    top = 0
     for col in range(ncols):
-        piv = -1
-        for i in range(top, nrows):
-            if rows[i][col]:
-                piv = i
+        for piv in range(rank, nrows):
+            if rows[piv][col]:
                 break
-        if piv < 0:
+        else:
             continue
+        if rank >= limit:
+            return rank + 1
+        step(rows, rank, piv, col)
         rank += 1
-        if rank > limit:
-            return rank
-        rows[top], rows[piv] = rows[piv], rows[top]
-        prow = rows[top]
-        a = prow[col]
-        # row_i <- a*row_i - f*prow clears the column without inverting the
-        # pivot; scaling a row by a != 0 leaves the rank as it is
-        for i in range(top + 1, nrows):
-            f = rows[i][col]
-            if f:
-                rows[i] = [(a * x - f * y) % p for x, y in zip(rows[i], prow)]
-        top += 1
-        if top == nrows:
+        if rank == nrows:
             break
     return rank
 
 
-def _rank_rows_log(tab, rows: list[list[int]], limit: int) -> int:
-    # row update x - (f/piv)*y through the field's log tables (gf._LogTables)
-    exp, log, zech = tab
-    L = len(log) - 1
-    half = L // 2
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    rank = 0
-    top = 0
-    for col in range(ncols):
-        piv = -1
-        for i in range(top, nrows):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        rank += 1
-        if rank > limit:
-            return rank
+def _code_op_step(spec: FieldSpec):
+    """row_i <- row_i - (f/a)*prow through the field's code operations.
+
+    Unlike the inverse-free mod-p step it leaves the determinant as it is,
+    so det() runs it on every field; rank runs it above the table limit.
+    """
+    sub, mul, inv = spec.sub_code, spec.mul_code, spec.inv_code
+
+    def step(rows, top, piv, col):
         rows[top], rows[piv] = rows[piv], rows[top]
         prow = rows[top]
-        lpinv = L - log[prow[col]]
-        for i in range(top + 1, nrows):
-            f = rows[i][col]
-            if f:
-                if zech:  # odd p: add (-f/piv)*y by Zech logarithms
-                    c = 3 * L + (log[f] + lpinv + half) % L
-                    rows[i] = [
-                        exp[(lx := log[x]) + zech[c + log[y] - lx]]
-                        for x, y in zip(rows[i], prow)
-                    ]
-                else:  # p = 2: subtraction is XOR
-                    lf = log[f] + lpinv
-                    rows[i] = [x ^ exp[lf + log[y]] for x, y in zip(rows[i], prow)]
-        top += 1
-        if top == nrows:
-            break
-    return rank
+        # above the table limit an inverse costs about 2 log2(q) polynomial
+        # products, so a pivot with nothing to clear below it skips it
+        below = [i for i in range(top + 1, len(rows)) if rows[i][col]]
+        if below:
+            pinv = inv(prow[col])
+        for i in below:
+            f = mul(rows[i][col], pinv)
+            rows[i] = [sub(x, mul(f, y)) for x, y in zip(rows[i], prow)]
+
+    return step
 
 
-def _rank_rows_generic(
-    spec: FieldSpec, rows: list[list[int]], limit: int
-) -> tuple[int, int]:
-    """Rank and determinant code, through the field's code operations.
+def _kernels(spec: FieldSpec):
+    """Bind, once per field, the pivot step and the one-vector update.
 
-    The determinant (pivot product, negated per row swap) is that of a
-    square matrix run with limit >= its size.
-    """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    rank = 0
-    top = 0
-    det_code = 1
-    for col in range(ncols):
-        piv = -1
-        for i in range(top, nrows):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv < 0:
-            det_code = 0
-            continue
-        rank += 1
-        if rank > limit:
-            return rank, 0
-        if piv != top:
-            rows[top], rows[piv] = rows[piv], rows[top]
-            det_code = spec.neg_code(det_code)
-        prow = rows[top]
-        det_code = spec.mul_code(det_code, prow[col])
-        pinv = spec.inv_code(prow[col])
-        for i in range(top + 1, nrows):
-            f = rows[i][col]
-            if f:
-                f = spec.mul_code(f, pinv)
-                rows[i] = [
-                    spec.sub_code(x, spec.mul_code(f, y))
-                    for x, y in zip(rows[i], prow)
-                ]
-        top += 1
-        if top == nrows:
-            break
-    return rank, det_code
-
-
-def _rank_kernel(spec: FieldSpec):
-    """Bind the fastest rank kernel for this field once, for hot loops.
-
-    The returned function takes (rows, limit) and mutates rows.
-    """
-    if spec.d == 1:
-        return partial(_rank_rows_modp, spec.p)
-    tab = spec.tables
-    if tab is not None:
-        return partial(_rank_rows_log, tab)
-    return lambda rows, limit: _rank_rows_generic(spec, rows, limit)[0]
-
-
-def _sub_mul_kernel(spec: FieldSpec):
-    """Bind (v, f, b) -> v - f*b on code lists, for incremental elimination.
-
-    It works in the same representation as the rank kernels, leaves v and
-    b as they are, and accepts f = 0.
+    The update (v, f, b) -> v - f*b on code lists serves incremental
+    elimination; it leaves v and b as they are and accepts f = 0.  Both
+    work in one representation: arithmetic mod p for prime fields, log
+    tables (gf._LogTables) with XOR sums for p = 2 or Zech sums for odd p,
+    and the code operations above the table limit.
     """
     if spec.d == 1:
         p = spec.p
-        return lambda v, f, b: [(x - f * y) % p for x, y in zip(v, b)]
+
+        def step(rows, top, piv, col):
+            rows[top], rows[piv] = rows[piv], rows[top]
+            prow = rows[top]
+            a = prow[col]
+            # row_i <- a*row_i - f*prow clears the column without inverting
+            # the pivot; scaling a row by a != 0 leaves the rank as it is
+            for i in range(top + 1, len(rows)):
+                f = rows[i][col]
+                if f:
+                    rows[i] = [(a * x - f * y) % p for x, y in zip(rows[i], prow)]
+
+        return step, lambda v, f, b: [(x - f * y) % p for x, y in zip(v, b)]
     tab = spec.tables
     if tab is None:
         sub, mul = spec.sub_code, spec.mul_code
-        return lambda v, f, b: [sub(x, mul(f, y)) for x, y in zip(v, b)]
+        return _code_op_step(spec), lambda v, f, b: [sub(x, mul(f, y)) for x, y in zip(v, b)]
     exp, log, zech = tab
     L = len(log) - 1
+    half = L // 2  # -1 = g^half
+    if not zech:  # p = 2: subtraction is XOR
+
+        def step(rows, top, piv, col):
+            rows[top], rows[piv] = rows[piv], rows[top]
+            prow = rows[top]
+            lpinv = L - log[prow[col]]
+            for i in range(top + 1, len(rows)):
+                f = rows[i][col]
+                if f:
+                    lf = log[f] + lpinv
+                    rows[i] = [x ^ exp[lf + log[y]] for x, y in zip(rows[i], prow)]
+
+        def sub_mul(v, f, b):
+            if not f:
+                return v
+            lf = log[f]
+            return [x ^ exp[lf + log[y]] for x, y in zip(v, b)]
+
+        return step, sub_mul
+
+    # odd p: add w*y for w = -f/a (step) or -f (sub_mul) by Zech
+    # logarithms, reading the Zech table at c + log y - log x, c = 3L + log w
+    def step(rows, top, piv, col):
+        rows[top], rows[piv] = rows[piv], rows[top]
+        prow = rows[top]
+        lpinv = L - log[prow[col]]
+        for i in range(top + 1, len(rows)):
+            f = rows[i][col]
+            if f:
+                c = 3 * L + (log[f] + lpinv + half) % L
+                rows[i] = [
+                    exp[(lx := log[x]) + zech[c + log[y] - lx]] for x, y in zip(rows[i], prow)
+                ]
 
     def sub_mul(v, f, b):
         if not f:
             return v
-        if not zech:  # p = 2: subtraction is XOR
-            lf = log[f]
-            return [x ^ exp[lf + log[y]] for x, y in zip(v, b)]
-        # odd p: add (-f)*y by Zech logarithms, as in _rank_rows_log
-        c = 3 * L + (log[f] + L // 2) % L
+        c = 3 * L + (log[f] + half) % L
         return [exp[(lx := log[x]) + zech[c + log[y] - lx]] for x, y in zip(v, b)]
 
-    return sub_mul
+    return step, sub_mul
+
+
+def _rank_kernel(spec: FieldSpec):
+    """Bind the pivot loop to this field's step once, for hot loops.
+
+    The returned function takes (rows, limit) and mutates rows.
+    """
+    return partial(_pivot_loop, _kernels(spec)[0])
+
+
+def _sub_mul_kernel(spec: FieldSpec):
+    """Bind (v, f, b) -> v - f*b on code lists, for incremental elimination."""
+    return _kernels(spec)[1]
 
 
 def _rank_codes(spec: FieldSpec, rows: list[list[int]], limit: int | None = None) -> int:
@@ -419,7 +395,20 @@ def det(M: DenseMatrix) -> FieldElement:
     """Determinant by elimination, tracking pivot products and swap sign."""
     if M.rows != M.cols:
         raise ValueError(f"determinant needs a square matrix, got {M.rows}x{M.cols}")
-    return M.field.element(_rank_rows_generic(M.field, M.code_rows(), M.rows)[1])
+    spec = M.field
+    clear = _code_op_step(spec)
+    acc = 1  # pivot product, negated per row swap
+
+    def step(rows, top, piv, col):
+        nonlocal acc
+        acc = spec.mul_code(acc, rows[piv][col])
+        if piv != top:
+            acc = spec.neg_code(acc)
+        clear(rows, top, piv, col)
+
+    if _pivot_loop(step, M.code_rows(), M.rows) < M.rows:
+        return spec.zero
+    return spec.element(acc)
 
 
 def left_kernel_dim(M: DenseMatrix) -> int:

@@ -324,6 +324,32 @@ def test_verify_skips_on_cap():
     assert all_passed(reports)  # skipped entries do not fail the run
 
 
+def test_verify_keeps_reports_finished_before_the_cap():
+    # the census of the (3, 3) view needs 2^7 > 64 steps; the families run
+    # before it are kept, and the rest of the suite is one skipped record
+    full = verify("theorems", [F2], cap=128)
+    assert len(full) == 115 and all(r.verdict == "match" for r in full)
+    capped = verify("theorems", [F2], cap=64)
+    *done, skipped = capped
+
+    def untimed(reports):
+        return [(r.check, r.params, r.formula_value, r.observed_value, r.verdict) for r in reports]
+
+    assert done and untimed(done) == untimed(full[: len(done)])
+    assert skipped.check == "theorems" and skipped.verdict == "skipped"
+    assert skipped.params == {"reason": "enumeration needs 128 steps, cap is 64"}
+
+
+def test_verify_keeps_identity_report_before_the_gadget_limit():
+    # the count identity fits GF(29); no default gadget grid does
+    reports = verify("identities", [FieldSpec(29)])
+    assert [(r.check, r.verdict) for r in reports] == [
+        ("annihilator-count-identity", "match"),
+        ("identities", "skipped"),
+    ]
+    assert reports[0].params["instances"] == 29 + 29**2
+
+
 def test_verify_large_field_skips_exhaustive_suites():
     # a field too large to sweep must skip quickly instead of hanging
     reports = verify("all", [FieldSpec(2147483647)])

@@ -5,8 +5,11 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 from hankelcensus.cli import main
+
+GOLDEN = Path(__file__).with_name("golden")
 
 
 def run_cli(capsys, *argv):
@@ -189,6 +192,29 @@ def test_verify_witness_cap_counts_tail_vectors(capsys):
     assert lines[0].startswith("SKIP witnesses field=GF(11) reason=enumeration needs ")
     assert "cap is 1000000" in lines[0]
     assert lines[-1] == "result: pass (1 checks, 0 failures)"
+
+
+def test_verify_all_stdout_matches_golden_file(capsys):
+    # every instance count, formula and observed value of the full suite on
+    # GF(2..5), pinned byte for byte; timing goes to stderr and is not pinned
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "all", "--field", "2,3,4,5", "--jobs", "1"
+    )
+    assert code == 0
+    assert out.encode() == (GOLDEN / "verify_all_2_3_4_5.txt").read_bytes()
+
+
+def test_verify_gadget_skip_names_the_grid_limit(capsys):
+    # the gadget work limit is not the cap, so --cap cannot lift it
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "witnesses", "--field", "29", "--cap", "1000000000"
+    )
+    assert code == 0
+    assert out.splitlines()[0] == (
+        "SKIP witnesses field=GF(29) reason=no default grid fits GF(29): the smallest "
+        "needs 682892 steps, over the limit of 300000; --max-n picks one "
+        "formula=None observed=None"
+    )
 
 
 def test_verify_json(capsys):

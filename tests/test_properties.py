@@ -24,10 +24,10 @@ from hankelcensus.census import _tally_ranks, _test_shape
 from hankelcensus.gf import _TABLE_LIMIT, FieldSpec, _is_irreducible, _is_prime
 from hankelcensus.hankel import (
     DenseMatrix,
+    _code_op_step,
+    _pivot_loop,
     _rank_codes,
     _rank_kernel,
-    _rank_rows_generic,
-    _rank_rows_log,
     _sub_mul_kernel,
     det,
     rank_gauss,
@@ -69,6 +69,10 @@ def matrices(draw, name, max_dim=4, square=False):
     field = draw(fields(name))
     rows = draw(st.integers(1, max_dim))
     cols = rows if square else draw(st.integers(1, max_dim))
+    # now and then an empty shape: rank 0, and det 1 for 0 x 0
+    # (test_empty_shapes covers them in every class for sure)
+    empty = [(0, 0)] if square else [(0, cols), (rows, 0), (0, 0)]
+    rows, cols = draw(st.sampled_from([(rows, cols)] * 9 + empty))
     # few distinct values, so that dependent rows and zero pivots are common
     palette = draw(st.lists(st.integers(1, field.order - 1), min_size=1, max_size=3))
     codes = draw(
@@ -159,15 +163,35 @@ def test_kernel_limit_reports_excess(name):
     check()
 
 
+@pytest.mark.parametrize("name", list(CLASSES))
+def test_empty_shapes(name):
+    # matrices() draws empty shapes only now and then; here every class has them
+    @PROPS
+    @given(fields(name), st.integers(0, 4))
+    def check(spec, limit):
+        for rows, cols in ((0, 0), (0, 3), (3, 0)):
+            M = DenseMatrix(spec, rows, cols, ())
+            assert rank_gauss(M) == oracles.minor_rank(M) == 0
+            assert _rank_kernel(spec)(M.code_rows(), limit) == 0
+            assert _rank_codes(spec, M.code_rows(), limit) == 0
+        M = DenseMatrix(spec, 0, 0, ())
+        assert det(M) == oracles.leibniz_det(M) == spec.one
+
+    check()
+
+
 @pytest.mark.parametrize("name", WITH_TABLES)
 def test_log_kernel_matches_generic_elimination(name):
-    # larger shapes than the minor oracle can afford
+    # larger shapes than the minor oracle can afford; the table step and the
+    # code-operation step both subtract (f/a)*prow, so the rows agree as well
     @PROPS
     @given(matrices(name, max_dim=7))
     def check(M):
         limit = min(M.rows, M.cols)
-        expected, _ = _rank_rows_generic(M.field, M.code_rows(), limit)
-        assert _rank_rows_log(M.field.tables, M.code_rows(), limit) == expected
+        expected_rows, rows = M.code_rows(), M.code_rows()
+        expected = _pivot_loop(_code_op_step(M.field), expected_rows, limit)
+        assert _rank_kernel(M.field)(rows, limit) == expected
+        assert rows == expected_rows
 
     check()
 

@@ -30,9 +30,16 @@ being visited, exactly: once the rank exceeds the limit asked for, or
 reaches nrows, every completion has that rank.  The last entry is never
 enumerated.  A fixed prefix goes into the basis before the walk starts.
 
-The walk is split by the value of the first free entry; with jobs > 1
-the slices are cut into at most `jobs` contiguous runs, one thread-pool
-task each, and recombined in slice order, so results never depend on the
+The walk is split into blocks that fix the first few free entries.  A
+head with a nonzero entry gets one block per value of the first free
+entry.  Under an all-zero head the counts are the same on every orbit of
+x -> c*x and x_t -> b^t*x_t, so the walk visits one representative
+completion set per orbit: for each position of the first nonzero free
+entry, the block that sets it to 1 and its neighbour to 0, weighted q-1,
+and the block that sets both to 1, weighted (q-1)^2 (just the 1, weighted
+q-1, at the last position), plus the all-zero completion.  With jobs > 1
+the blocks are cut into at most `jobs` contiguous runs, one thread-pool
+task each, and recombined in block order, so results never depend on the
 level of parallelism.  The cap is charged Q^(free) before the walk
 starts, an upper bound on the tuples it visits.
 
@@ -364,8 +371,10 @@ def _tally_ranks(
     rank rho; ranks above limit land in tallies[limit + 1].
 
     The tallies come from a depth-first walk over the tuple prefix tree
-    that keeps an echelon basis of the view's finished columns (see the
-    module docstring).
+    that keeps an echelon basis of the view's finished columns, run once
+    per block of fixed first free entries and summed with the blocks'
+    weights: one block per value of the first free entry, or under an
+    all-zero head one block per scaling orbit (see the module docstring).
     """
     q = spec.order
     _check_cap(q**free, cap)
@@ -446,8 +455,32 @@ def _tally_ranks(
             walk(fixed, basis)
         return tallies
 
-    blocks = [()] if free == 0 else [(c,) for c in range(q)]
-    return [sum(col) for col in zip(*_map_blocks(tally_block, blocks, jobs))]
+    if free and not any(head):
+        # One block per scaling orbit.  x -> c*x scales every view by c, and
+        # x_t -> b^t*x_t turns a view H into D H D' with D, D' = diag(b^i);
+        # for c, b != 0 both are bijections on the completions of a zero
+        # head that keep every rank.  Sort the nonzero completions by the
+        # first nonzero entry x_s = a, at free position j, and its
+        # neighbour x_{s+1} = a'.  (c, b) = (1/a, 1) maps class (a, 0)
+        # onto class (1, 0), and when a' != 0 the one pair b = a/a',
+        # c = 1/(a*b^s) maps class (a, a') onto class (1, 1).  So the q-1
+        # classes (a, 0) have the tallies of block (0^j, 1, 0), the
+        # (q-1)^2 classes with a' != 0 those of (0^j, 1, 1), and when x_s
+        # is the last entry the q-1 classes a those of (0^j, 1).  The
+        # all-zero completion is a block of its own, at rank 0
+        blocks, weights = [(0,) * free], [1]
+        for j in range(free):
+            if j + 1 < free:
+                blocks += [(0,) * j + (1, 0), (0,) * j + (1, 1)]
+                weights += [q - 1, (q - 1) ** 2]
+            else:
+                blocks.append((0,) * j + (1,))
+                weights.append(q - 1)
+    else:
+        blocks = [()] if free == 0 else [(c,) for c in range(q)]
+        weights = [1] * len(blocks)
+    parts = _map_blocks(tally_block, blocks, jobs)
+    return [sum(w * n for w, n in zip(weights, col)) for col in zip(*parts)]
 
 
 def brute_count_rank_le(query: CountQuery, cap: int = DEFAULT_CAP, *, jobs: int = 1) -> int:
@@ -1166,6 +1199,8 @@ def verify(
     the cap keeps the reports it finished and ends with one report of
     verdict "skipped" instead of raising.
     """
+    if max_n is not None and max_n < 0:
+        raise ValueError(f"need max_n >= 0, got {max_n}")
     if suite == "all":
         names = SUITES
     elif suite in _SUITE_FUNCS:

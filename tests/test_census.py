@@ -142,15 +142,21 @@ def test_partition_by_first_free_entry():
 
 
 def test_jobs_do_not_change_counts():
-    # jobs > 1 cuts the q first-free-entry slices into contiguous runs:
-    # fewer runs than slices, as many, and more jobs than slices
-    for field in (F3, FieldSpec(5)):
-        query = CountQuery(field, 2, 3, 2)
-        count = brute_count_rank_le(query, jobs=1)
-        dist = brute_census(field, 2, 2, jobs=1)
-        for jobs in (2, 3, 4, field.order + 2):
-            assert brute_count_rank_le(query, jobs=jobs) == count
-            assert brute_census(field, 2, 2, jobs=jobs) == dist
+    # jobs > 1 cuts the walk's blocks into contiguous runs: fewer runs than
+    # blocks, as many, and more jobs than blocks.  A head with a nonzero
+    # entry has q blocks, one per value of the first free entry; an
+    # all-zero head, the empty one too, has 2*free, one per scaling orbit
+    for field in (F3, FieldSpec(5), FieldSpec.from_order(9)):
+        for codes in ((), (0,), (0, 0), (1,), (0, 2)):
+            prefix = seq(field, codes)
+            for length, run in (
+                (6, lambda jobs: brute_count_rank_le(CountQuery(field, 2, 3, 2, prefix), jobs=jobs)),
+                (5, lambda jobs: brute_census(field, 2, 2, prefix, jobs=jobs)),
+            ):
+                blocks = field.order if any(codes) else 2 * (length - len(codes))
+                expected = run(1)
+                for jobs in (2, 3, 4, blocks, blocks + 2):
+                    assert run(jobs) == expected
 
 
 def test_map_blocks_submits_at_most_jobs_futures(monkeypatch):
@@ -305,6 +311,15 @@ def test_verify_small_run_passes():
 def test_verify_unknown_suite():
     with pytest.raises(ValueError):
         verify("nonsense", [F2])
+
+
+def test_verify_rejects_negative_max_n():
+    # a negative bound used to run every suite over zero instances
+    for suite in ("theorems", "all"):
+        with pytest.raises(ValueError, match="max_n"):
+            verify(suite, [F3], max_n=-2)
+    reports = verify("lemmas", [F3], max_n=0)
+    assert reports and all(r.verdict == "match" for r in reports)
 
 
 def test_prefix_family_names_first_failure():

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from hankelcensus.cli import main
 
@@ -179,6 +182,12 @@ def test_verify_pass(capsys):
     assert "s" in err
 
 
+def test_verify_negative_max_n_exits_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--field", "3", "--max-n", "-1")
+    assert code == 2 and out == ""
+    assert "max_n >= 0" in err
+
+
 def test_verify_witness_cap_counts_tail_vectors(capsys):
     # the sweeps test (q-1)*q^m tail vectors against every tuple, so a cap
     # charged only q^(m+n+1) let this run for more than 30 s; it now skips
@@ -202,6 +211,58 @@ def test_verify_all_stdout_matches_golden_file(capsys):
     )
     assert code == 0
     assert out.encode() == (GOLDEN / "verify_all_2_3_4_5.txt").read_bytes()
+
+
+GF2_17 = "2^17:1,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,1"
+
+# count --mode brute and census on a prime field, log-table fields and a
+# field above 2^16, with empty, all-zero and nonzero prefixes; each runs at
+# --jobs 1 and 3 in text and JSON.  Above 2^16 the nonzero heads leave no
+# free entry: such a head walks one block per value of its first free
+# entry, each paying for an inverse, about 300 s per call
+GOLDEN_RUNS = (
+    "count --field 5 --m 3 --n 3 --r 3",
+    "count --field 5 --m 3 --n 3 --r 2 --prefix 0,0",
+    "count --field 5 --m 3 --n 4 --r 3 --prefix 2,0,4",
+    "count --field 5 --m 2 --n 4 --r 4 --prefix 0",
+    "census --field 5 --m 3 --n 3",
+    "census --field 5 --m 3 --n 3 --prefix 0,0,0",
+    "census --field 5 --m 2 --n 3 --prefix 0,1",
+    "count --field 9 --m 2 --n 3 --r 2",
+    "count --field 9 --m 2 --n 2 --r 2 --prefix 0,0",
+    "count --field 9 --m 2 --n 3 --r 1 --prefix t,2*t+1",
+    "census --field 9 --m 2 --n 2",
+    "census --field 9 --m 2 --n 2 --prefix 0",
+    "census --field 8 --m 2 --n 3 --prefix 0,0,t^2+1",
+    f"count --field {GF2_17} --m 0 --n 0 --r 0 --prefix t",
+    f"count --field {GF2_17} --m 1 --n 1 --r 0 --prefix t^3+1,t,1",
+    f"census --field {GF2_17} --m 1 --n 1 --prefix 0,0",
+    f"census --field {GF2_17} --m 1 --n 1 --prefix 0,0,0",
+    f"census --field {GF2_17} --m 1 --n 2 --prefix 1,t,0,t^16+1",
+)
+
+
+def golden_stdout(capsys, fmt: str) -> str:
+    """Every GOLDEN_RUNS stdout at both job counts, each under its command line."""
+    parts = []
+    for run in GOLDEN_RUNS:
+        argv = run.split()
+        if argv[0] == "count":
+            argv += ["--mode", "brute"]
+        for jobs in ("1", "3"):
+            full = argv + ["--format", fmt, "--jobs", jobs]
+            code, out, _ = run_cli(capsys, *full)
+            assert code == 0, full
+            # timing is the only field that may differ between runs
+            out = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out)
+            parts.append(f"$ {' '.join(full)}\n{out}")
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_count_census_stdout_matches_golden_file(capsys, fmt):
+    golden = GOLDEN / f"count_census_{fmt}.txt"
+    assert golden_stdout(capsys, fmt).encode() == golden.read_bytes()
 
 
 def test_verify_gadget_skip_names_the_grid_limit(capsys):

@@ -233,7 +233,10 @@ def walk_cases(draw, name):
     """(field, m, n, r, head) in all three regimes, with Q^free <= WALK_BUDGET.
 
     Heads range from empty to the whole tuple; "saturated" heads already
-    give the first r+1 columns of the reduced view full rank.
+    give the first r+1 columns of the reduced view full rank, and
+    "all-zero" heads are nonempty zero heads that leave two free entries
+    or more where the budget allows (one in the table class, none above
+    the limit), so the walk runs one block per scaling orbit.
     """
     if name == "prime":
         spec = FieldSpec(draw(st.sampled_from((2, 3, 5, 7, 11, 13))))
@@ -258,10 +261,14 @@ def walk_cases(draw, name):
     length = m + n + 1
     rows = min(_test_shape(m, n, r)) + 1  # column length of the walked view
     lowest = max(0, length - free_max)
-    kind = draw(st.sampled_from(("empty", "full", "random", "saturated")))
+    kind = draw(st.sampled_from(("empty", "full", "random", "saturated", "all-zero")))
     saturated = kind == "saturated" and r < rows and r + rows <= length
     if kind == "empty":
         k = lowest
+    elif kind == "all-zero":
+        lo = max(1, lowest)
+        k = draw(st.integers(lo, max(lo, length - 2)))
+        return spec, m, n, r, [0] * k
     elif kind == "full":
         k = length
     elif saturated:

@@ -17,6 +17,15 @@ for fields too large to sweep.  `verify` drives formula-vs-oracle
 comparisons and the property suites over a parameter grid and returns one
 report per checked family.
 
+The estimator runs its trials in batches of _MC_BATCH.  Each trial's
+suffix is drawn on its own, from a splitmix64 counter keyed off the seed
+and the trial number.  Each batch is then decided by one lockstep
+elimination on the reduced view (hankel._lockstep_kernel), which
+pivots every trial's view on its diagonal with one list comprehension
+per entry over the whole batch.  A view that meets a zero pivot is
+decided on its own, so the count is exactly that of one rank test per
+trial.
+
 The exhaustive counter walks the prefix tree of the tuple depth first.  It
 reads the Hankel view in whichever orientation has the shorter columns,
 with nrows entries per column, so that entry x_t completes column
@@ -32,16 +41,17 @@ enumerated.  A fixed prefix goes into the basis before the walk starts.
 
 The walk is split into blocks that fix the first few free entries.  A
 head with a nonzero entry gets one block per value of the first free
-entry.  Under an all-zero head the counts are the same on every orbit of
-x -> c*x and x_t -> b^t*x_t, so the walk visits one representative
-completion set per orbit: for each position of the first nonzero free
-entry, the block that sets it to 1 and its neighbour to 0, weighted q-1,
-and the block that sets both to 1, weighted (q-1)^2 (just the 1, weighted
-q-1, at the last position), plus the all-zero completion.  With jobs > 1
-the blocks are cut into at most `jobs` contiguous runs, one thread-pool
-task each, and recombined in block order, so results never depend on the
-level of parallelism.  The cap is charged Q^(free) before the walk
-starts, an upper bound on the tuples it visits.
+entry, or one block in all when that entry is the last, which the walk
+settles in closed form.  Under an all-zero head the counts are the same
+on every orbit of x -> c*x and x_t -> b^t*x_t, so the walk visits one
+representative completion set per orbit: for each position of the first
+nonzero free entry, the block that sets it to 1 and its neighbour to 0,
+weighted q-1, and the block that sets both to 1, weighted (q-1)^2 (just
+the 1, weighted q-1, at the last position), plus the all-zero completion.
+With jobs > 1 the blocks are cut into at most `jobs` contiguous runs, one
+thread-pool task each, and recombined in block order, so results never
+depend on the level of parallelism.  The cap is charged Q^(free) before
+the walk starts, an upper bound on the tuples it visits.
 
 The witness suite tests each tuple's annihilation once per gadget vector
 and view, not once per prefix.  For every vector v it flags all tuples in
@@ -72,6 +82,7 @@ from hankelcensus.hankel import (
     RowVector,
     SeqTuple,
     _hankel_code_rows,
+    _lockstep_kernel,
     _rank_codes,
     _rank_kernel,
     _sub_mul_kernel,
@@ -373,8 +384,9 @@ def _tally_ranks(
     The tallies come from a depth-first walk over the tuple prefix tree
     that keeps an echelon basis of the view's finished columns, run once
     per block of fixed first free entries and summed with the blocks'
-    weights: one block per value of the first free entry, or under an
-    all-zero head one block per scaling orbit (see the module docstring).
+    weights: one block per value of the first free entry (one in all
+    when it is the last), or under an all-zero head one block per scaling
+    orbit (see the module docstring).
     """
     q = spec.order
     _check_cap(q**free, cap)
@@ -477,7 +489,7 @@ def _tally_ranks(
                 blocks.append((0,) * j + (1,))
                 weights.append(q - 1)
     else:
-        blocks = [()] if free == 0 else [(c,) for c in range(q)]
+        blocks = [()] if free <= 1 else [(c,) for c in range(q)]
         weights = [1] * len(blocks)
     parts = _map_blocks(tally_block, blocks, jobs)
     return [sum(w * n for w, n in zip(weights, col)) for col in zip(*parts)]
@@ -572,22 +584,42 @@ def _mix64(z: int) -> int:
 
 
 def _draw_codes(spec: FieldSpec, key: int, count: int) -> list[int]:
-    """Uniform element codes by rejection sampling on ceil(log2 Q) bits."""
+    """Uniform element codes by rejection sampling on ceil(log2 Q) bits.
+
+    Word j = 1, 2, ... is _mix64(key + j*_GOLDEN), and a code takes the
+    next ceil(bits/64) words, high word first.  For Q <= 2^64, one word
+    per code, the mix is written out in the loop and the counter steps
+    by _GOLDEN, which saves a call per word.
+    """
     q = spec.order
     bits = (q - 1).bit_length()
-    nwords = (bits + 63) // 64
     mask = (1 << bits) - 1
     out: list[int] = []
-    j = 0
-    while len(out) < count:
-        w = 0
-        for _ in range(nwords):
-            j += 1
-            w = (w << 64) | _mix64((key + j * _GOLDEN) & _MASK64)
-        c = w & mask
+    z = key & _MASK64
+    if bits > 64:
+        nwords = (bits + 63) // 64
+        while len(out) < count:
+            w = 0
+            for _ in range(nwords):
+                z = (z + _GOLDEN) & _MASK64
+                w = (w << 64) | _mix64(z)
+            c = w & mask
+            if c < q:
+                out.append(c)
+        return out
+    left = count
+    while left:
+        z = (z + _GOLDEN) & _MASK64
+        y = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        y = ((y ^ (y >> 27)) * 0x94D049BB133111EB) & _MASK64
+        c = (y ^ (y >> 31)) & mask
         if c < q:
             out.append(c)
+            left -= 1
     return out
+
+
+_MC_BATCH = 512  # trials per lockstep elimination
 
 
 def monte_carlo_rank_le(
@@ -597,7 +629,10 @@ def monte_carlo_rank_le(
 
     Suffixes come from a counter-based generator keyed off (seed, trial),
     so the estimate is reproducible across platforms and independent of
-    any parallel schedule.
+    any parallel schedule.  Trials run in batches of _MC_BATCH: each batch
+    is drawn trial by trial and then decided by one lockstep elimination
+    (hankel._lockstep_kernel) on the reduced view, which gives exactly
+    the count that one rank test per trial would.
     """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
@@ -605,17 +640,16 @@ def monte_carlo_rank_le(
     m, n, r = query.m, query.n, query.r
     free = query.tuple_len - query.k
     rdeg, cdeg = _test_shape(m, n, r)
-    nrows, ncols = rdeg + 1, cdeg + 1
-    kern = _rank_kernel(spec)
+    count_rank_le = _lockstep_kernel(spec)
     head = list(query.prefix.codes)
     base_key = _mix64(rng_seed & _MASK64)
     successes = 0
-    for t in range(trials):
-        trial_key = _mix64((base_key + (t + 1) * _GOLDEN) & _MASK64)
-        x = head + _draw_codes(spec, trial_key, free)
-        rows = [x[i : i + ncols] for i in range(nrows)]
-        if kern(rows, r) <= r:
-            successes += 1
+    for lo in range(0, trials, _MC_BATCH):
+        batch = [
+            head + _draw_codes(spec, _mix64((base_key + t * _GOLDEN) & _MASK64), free)
+            for t in range(lo + 1, min(lo + _MC_BATCH, trials) + 1)
+        ]
+        successes += count_rank_le(batch, rdeg, cdeg, r)
     p_hat = successes / trials
     stderr = sqrt(p_hat * (1.0 - p_hat) / trials)
     return MonteCarloEstimate(Fraction(successes, trials), stderr, successes, trials)

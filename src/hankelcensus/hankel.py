@@ -16,7 +16,10 @@ by Zech logarithms for odd p; larger fields use the code operations.
 det() runs the code-operation step on every field, since it keeps the
 determinant as it is, and tracks the pivot product and swap sign.  The
 same binder gives the one-vector row update of incremental elimination
-(_sub_mul_kernel).
+(_sub_mul_kernel), and the lane update of lockstep elimination
+(_lockstep_kernel), which decides "rank <= limit" for a whole batch of
+tuples at once: each view entry is held as one list over the batch, so
+every update is one list comprehension over all the tuples.
 """
 
 from __future__ import annotations
@@ -269,13 +272,19 @@ def _code_op_step(spec: FieldSpec):
 
 
 def _kernels(spec: FieldSpec):
-    """Bind, once per field, the pivot step and the one-vector update.
+    """Bind, once per field, the pivot step, the one-vector update and the lane update.
 
     The update (v, f, b) -> v - f*b on code lists serves incremental
-    elimination; it leaves v and b as they are and accepts f = 0.  Both
-    work in one representation: arithmetic mod p for prime fields, log
-    tables (gf._LogTables) with XOR sums for p = 2 or Zech sums for odd p,
-    and the code operations above the table limit.
+    elimination; it leaves v and b as they are and accepts f = 0.  The
+    lane update lanes(rows, k) serves lockstep elimination: rows[i][j] is
+    the list of entry (i, j) over a batch of matrices, and it pivots every
+    matrix on its entry (k, k), clearing column k below row k.  It
+    replaces rows[i][k+1:] for i > k and leaves rows[i][k] as it is (it
+    reads as zero from then on).  A lane whose pivot is 0 comes out as
+    garbage, which the caller must decide some other way.  All three work
+    in one representation: arithmetic mod p for prime fields, log tables
+    (gf._LogTables) with XOR sums for p = 2 or Zech sums for odd p, and
+    the code operations above the table limit.
     """
     if spec.d == 1:
         p = spec.p
@@ -291,14 +300,42 @@ def _kernels(spec: FieldSpec):
                 if f:
                     rows[i] = [(a * x - f * y) % p for x, y in zip(rows[i], prow)]
 
-        return step, lambda v, f, b: [(x - f * y) % p for x, y in zip(v, b)]
+        def lanes(rows, k):
+            prow = rows[k]
+            A = prow[k]
+            for row in rows[k + 1 :]:
+                F = row[k]
+                row[k + 1 :] = [
+                    [(a * x - f * y) % p for a, f, x, y in zip(A, F, X, Y)]
+                    for X, Y in zip(row[k + 1 :], prow[k + 1 :])
+                ]
+
+        return step, lambda v, f, b: [(x - f * y) % p for x, y in zip(v, b)], lanes
     tab = spec.tables
     if tab is None:
         sub, mul = spec.sub_code, spec.mul_code
-        return _code_op_step(spec), lambda v, f, b: [sub(x, mul(f, y)) for x, y in zip(v, b)]
+
+        def lanes(rows, k):
+            # inverse-free, as in the prime step: above the table limit an
+            # inverse costs about 2 log2(q) polynomial products
+            prow = rows[k]
+            A = prow[k]
+            for row in rows[k + 1 :]:
+                F = row[k]
+                row[k + 1 :] = [
+                    [sub(mul(a, x), mul(f, y)) for a, f, x, y in zip(A, F, X, Y)]
+                    for X, Y in zip(row[k + 1 :], prow[k + 1 :])
+                ]
+
+        return (
+            _code_op_step(spec),
+            lambda v, f, b: [sub(x, mul(f, y)) for x, y in zip(v, b)],
+            lanes,
+        )
     exp, log, zech = tab
     L = len(log) - 1
     half = L // 2  # -1 = g^half
+    nil = 3 * L  # log[0]
     if not zech:  # p = 2: subtraction is XOR
 
         def step(rows, top, piv, col):
@@ -317,7 +354,20 @@ def _kernels(spec: FieldSpec):
             lf = log[f]
             return [x ^ exp[lf + log[y]] for x, y in zip(v, b)]
 
-        return step, sub_mul
+        def lanes(rows, k):
+            prow = rows[k]
+            la = [log[a] for a in prow[k]]
+            ly = [[log[y] for y in Y] for Y in prow[k + 1 :]]
+            for row in rows[k + 1 :]:
+                # log w for w = f/a, and log 0 where f = 0: exp reads 0 at
+                # log w + log y whenever either is log 0
+                lw = [(log[f] - l) % L if f else nil for f, l in zip(row[k], la)]
+                row[k + 1 :] = [
+                    [x ^ exp[w + y] for x, w, y in zip(X, lw, Y)]
+                    for X, Y in zip(row[k + 1 :], ly)
+                ]
+
+        return step, sub_mul, lanes
 
     # odd p: add w*y for w = -f/a (step) or -f (sub_mul) by Zech
     # logarithms, reading the Zech table at c + log y - log x, c = 3L + log w
@@ -339,7 +389,19 @@ def _kernels(spec: FieldSpec):
         c = 3 * L + (log[f] + half) % L
         return [exp[(lx := log[x]) + zech[c + log[y] - lx]] for x, y in zip(v, b)]
 
-    return step, sub_mul
+    def lanes(rows, k):
+        prow = rows[k]
+        la = [log[a] for a in prow[k]]
+        ly = [[log[y] for y in Y] for Y in prow[k + 1 :]]
+        for row in rows[k + 1 :]:
+            # c as in step for w = -f/a; 0 marks f = 0, where x stays
+            cw = [nil + (log[f] - l + half) % L if f else 0 for f, l in zip(row[k], la)]
+            row[k + 1 :] = [
+                [exp[(lx := log[x]) + zech[c + y - lx]] if c else x for x, c, y in zip(X, cw, Y)]
+                for X, Y in zip(row[k + 1 :], ly)
+            ]
+
+    return step, sub_mul, lanes
 
 
 def _rank_kernel(spec: FieldSpec):
@@ -366,6 +428,46 @@ def _hankel_code_rows(codes: Sequence[int], rdeg: int, cdeg: int) -> list[list[i
     """Mutable code rows of the (rdeg+1) x (cdeg+1) Hankel view of codes."""
     ncols = cdeg + 1
     return [list(codes[i : i + ncols]) for i in range(rdeg + 1)]
+
+
+def _lockstep_rank_le(step, lanes, batch, rdeg: int, cdeg: int, limit: int) -> int:
+    # how many tuples of batch have a (rdeg, cdeg) view of rank <= limit
+    nrows, ncols = rdeg + 1, cdeg + 1
+    if min(nrows, ncols) <= limit:
+        return len(batch)
+    cols = list(zip(*batch))  # cols[t] is x_t over the batch
+    rows = [[cols[i + j] for j in range(ncols)] for i in range(nrows)]
+    irregular: set[int] = set()
+    for k in range(limit):
+        piv = rows[k][k]
+        if 0 in piv:
+            irregular.update(b for b, a in enumerate(piv) if not a)
+        lanes(rows, k)
+    # Every step of a regular lane is an invertible row operation, and its
+    # first `limit` rows now have nonzero pivots on the diagonal, so its
+    # rank is limit plus the rank of the block below and right of them
+    rest = [col for row in rows[limit:] for col in row[limit:]]
+    flags = [not any(v) for v in zip(*rest)]
+    for b in irregular:
+        x = batch[b]
+        flags[b] = _pivot_loop(step, _hankel_code_rows(x, rdeg, cdeg), limit) <= limit
+    return sum(flags)
+
+
+def _lockstep_kernel(spec: FieldSpec):
+    """Bind lockstep elimination to this field once, for the sampler.
+
+    The returned function takes (batch, rdeg, cdeg, limit), where batch
+    is a sequence of code tuples of length at least rdeg+cdeg+1, and
+    returns how many of them have a (rdeg, cdeg) Hankel view of rank <=
+    limit.  It pivots every view on its diagonal entries (k, k), k <
+    limit, one lane update per step for the whole batch.  A view with a
+    zero pivot on the way is decided on its own by the pivot loop; every
+    other one has rank <= limit exactly when the block from row and
+    column `limit` on is zero.
+    """
+    step, _, lanes = _kernels(spec)
+    return partial(_lockstep_rank_le, step, lanes)
 
 
 # ----------------------------------------------------------------------

@@ -26,9 +26,9 @@ from hankelcensus.census import (
     target_stderr,
     verify,
 )
-from hankelcensus.census import _draw_codes, _map_blocks, _mix64
+from hankelcensus.census import _GOLDEN, _draw_codes, _map_blocks, _mix64, _test_shape
 from hankelcensus.gf import FieldSpec
-from hankelcensus.hankel import SeqTuple, iter_seq_tuples
+from hankelcensus.hankel import SeqTuple, _hankel_code_rows, _rank_kernel, iter_seq_tuples
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -146,6 +146,7 @@ def test_jobs_do_not_change_counts():
     # blocks, as many, and more jobs than blocks.  A head with a nonzero
     # entry has q blocks, one per value of the first free entry; an
     # all-zero head, the empty one too, has 2*free, one per scaling orbit
+    # (a nonzero head with one free entry has a single block)
     for field in (F3, FieldSpec(5), FieldSpec.from_order(9)):
         for codes in ((), (0,), (0, 0), (1,), (0, 2)):
             prefix = seq(field, codes)
@@ -157,6 +158,19 @@ def test_jobs_do_not_change_counts():
                 expected = run(1)
                 for jobs in (2, 3, 4, blocks, blocks + 2):
                     assert run(jobs) == expected
+
+
+def test_nonzero_head_with_one_free_entry_walks_one_block():
+    # the walk settles the last entry in closed form, so such a head needs
+    # one block, not one per value of that entry: above 2^16 each of q
+    # blocks pays for a polynomial inverse, minutes of work in all
+    field = FieldSpec(2, 17, [1, 0, 0, 1] + [0] * 13 + [1])
+    t = field.element([0, 1])
+    for jobs in (1, 3):
+        dist = brute_census(field, 0, 1, SeqTuple(field, (t,)), jobs=jobs)
+        assert dist.sorted_items() == [(0, 0), (1, 2**17)]
+        dist = brute_census(field, 1, 1, SeqTuple(field, (t, field.one)), jobs=jobs)
+        assert dist.sorted_items() == [(0, 0), (1, 1), (2, 2**17 - 1)]
 
 
 def test_map_blocks_submits_at_most_jobs_futures(monkeypatch):
@@ -234,6 +248,80 @@ def test_draw_codes_in_range_and_covering():
         codes = _draw_codes(field, key=12345, count=2000)
         assert all(0 <= c < field.order for c in codes)
         assert set(codes) == set(range(field.order))
+
+
+def reference_draw(spec, key, count):
+    """Rejection sampling on ceil(log2 Q) bits, word j = _mix64(key + j*golden)."""
+    bits = (spec.order - 1).bit_length()
+    out, j = [], 0
+    while len(out) < count:
+        w = 0
+        for _ in range((bits + 63) // 64):
+            j += 1
+            w = (w << 64) | _mix64(key + j * _GOLDEN)
+        if w % 2**bits < spec.order:
+            out.append(w % 2**bits)
+    return out
+
+
+GF2_64 = FieldSpec(2, 64, [1, 1, 1] + [0] * 8 + [1] + [0] * 52 + [1])  # x^64+x^11+x^2+x+1
+GF2_65 = FieldSpec(2, 65, [1] + [0] * 17 + [1] + [0] * 46 + [1])  # x^65+x^18+1
+GF3_41 = FieldSpec(3, 41, [1, 2] + [0] * 39 + [1])  # x^41+2x+1, Q a little below 2^65
+
+
+@pytest.mark.parametrize(
+    "field",
+    [F2, FieldSpec(101), FieldSpec(2**31 - 1), FieldSpec.from_order(64), GF2_64, GF2_65, GF3_41],
+    ids=str,
+)
+def test_draw_codes_match_mix64_reference(field):
+    # 2^64 - 1 wraps the counter at the first word, -golden mod 2^64 reaches
+    # counter 0 there, and a key past 2^64 is read mod 2^64; above 2^64 a
+    # code takes two words, and GF(3^41) rejects about 1% of them
+    for key in (0, 12345, 2**64 - 1, 2**64 - _GOLDEN, 2**64 + 12345):
+        assert _draw_codes(field, key, 40) == reference_draw(field, key, 40)
+    assert _draw_codes(field, 12345, 40) == _draw_codes(field, 2**64 + 12345, 40)
+    assert _draw_codes(field, 7, 0) == []
+
+
+def test_draw_codes_above_2_64_use_two_words():
+    # a code is the low 65 bits of (word 1, word 2), so it can use bit 64
+    w1, w2 = _mix64(_GOLDEN), _mix64(2 * _GOLDEN)
+    assert _draw_codes(GF2_65, 0, 1) == [((w1 << 64) | w2) % 2**65]
+    assert any(c >> 64 for c in _draw_codes(GF2_65, 99, 64))
+
+
+def reference_monte_carlo(query, trials, seed):
+    """One draw and one rank kernel call per trial, as before batching."""
+    rdeg, cdeg = _test_shape(query.m, query.n, query.r)
+    kern = _rank_kernel(query.field)
+    free = query.tuple_len - query.k
+    base = _mix64(seed)
+    successes = 0
+    for t in range(1, trials + 1):
+        x = list(query.prefix.codes) + _draw_codes(query.field, _mix64(base + t * _GOLDEN), free)
+        successes += kern(_hankel_code_rows(x, rdeg, cdeg), query.r) <= query.r
+    return successes
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        CountQuery(F2, 3, 3, 2),
+        CountQuery(F3, 2, 4, 2, seq(F3, [0, 1])),
+        CountQuery(FieldSpec(5), 3, 3, 0),
+        CountQuery(FieldSpec.from_order(9), 2, 3, 2),
+        CountQuery(FieldSpec.from_order(8), 3, 2, 3),  # full width
+    ],
+    ids=lambda q: f"GF{q.field.order}-{q.m}-{q.n}-{q.r}-k{q.k}",
+)
+def test_monte_carlo_batches_match_one_kernel_call_per_trial(query):
+    # one trial, a whole batch, and counts that leave a short last batch
+    batch = census._MC_BATCH
+    for trials in (1, 2, batch, batch + 1, 2 * batch + 77):
+        est = monte_carlo_rank_le(query, trials, 11)
+        assert est.successes == reference_monte_carlo(query, trials, 11)
+        assert est.trials == trials
 
 
 def test_monte_carlo_deterministic():

@@ -242,15 +242,15 @@ GOLDEN_RUNS = (
 )
 
 
-def golden_stdout(capsys, fmt: str) -> str:
-    """Every GOLDEN_RUNS stdout at both job counts, each under its command line."""
+def golden_stdout(capsys, runs, fmt: str, job_counts=()) -> str:
+    """Every run's stdout under its command line, once per --jobs value if any."""
     parts = []
-    for run in GOLDEN_RUNS:
+    for run in runs:
         argv = run.split()
-        if argv[0] == "count":
+        if argv[0] == "count" and "--mode" not in argv:
             argv += ["--mode", "brute"]
-        for jobs in ("1", "3"):
-            full = argv + ["--format", fmt, "--jobs", jobs]
+        for jobs in job_counts or (None,):
+            full = argv + ["--format", fmt] + (["--jobs", jobs] if jobs else [])
             code, out, _ = run_cli(capsys, *full)
             assert code == 0, full
             # timing is the only field that may differ between runs
@@ -262,7 +262,37 @@ def golden_stdout(capsys, fmt: str) -> str:
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_count_census_stdout_matches_golden_file(capsys, fmt):
     golden = GOLDEN / f"count_census_{fmt}.txt"
-    assert golden_stdout(capsys, fmt).encode() == golden.read_bytes()
+    assert golden_stdout(capsys, GOLDEN_RUNS, fmt, ("1", "3")).encode() == golden.read_bytes()
+
+
+GF256 = "2^8:1,0,1,1,1,0,0,0,1"
+GF3_7 = "3^7:1,0,0,0,0,1,2,1"
+
+# seeded Monte Carlo on prime, log-table (p = 2 and odd p) and code-operation
+# fields: GF(2), GF(3) and GF(5) hit zero pivots often, and the runs cover
+# r = 0, r = m = n, m != n, a nonempty prefix, the full-width regime (every
+# trial counts) and count --mode mc
+SAMPLE_RUNS = (
+    "sample --field 101 --m 4 --n 4 --r 4 --trials 3000 --seed 1",
+    "sample --field 2147483647 --m 3 --n 5 --r 3 --trials 2000 --seed 2",
+    "sample --field 64 --m 4 --n 4 --r 4 --trials 3000 --seed 3",
+    f"sample --field {GF256} --m 3 --n 3 --r 3 --trials 2000 --seed 4",
+    f"sample --field {GF3_7} --m 2 --n 2 --r 2 --trials 5000 --seed 5",
+    f"sample --field {GF2_17} --m 2 --n 2 --r 2 --trials 200 --seed 6",
+    "sample --field 2 --m 4 --n 4 --r 3 --trials 3000 --seed 7",
+    "sample --field 3 --m 2 --n 4 --r 2 --trials 3000 --seed 8",
+    "sample --field 101 --m 2 --n 2 --r 2 --prefix 3 --trials 3000 --seed 9",
+    "sample --field 5 --m 3 --n 3 --r 3 --prefix 2,0 --trials 2000 --seed 10",
+    "sample --field 2 --m 2 --n 2 --r 0 --trials 3000 --seed 11",
+    "sample --field 7 --m 3 --n 2 --r 3 --trials 500 --seed 12",
+    "count --field 9 --m 2 --n 3 --r 2 --mode mc --trials 2000 --seed 13",
+)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_sample_stdout_matches_golden_file(capsys, fmt):
+    golden = GOLDEN / f"sample_{fmt}.txt"
+    assert golden_stdout(capsys, SAMPLE_RUNS, fmt).encode() == golden.read_bytes()
 
 
 def test_verify_gadget_skip_names_the_grid_limit(capsys):

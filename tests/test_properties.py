@@ -8,7 +8,8 @@ operations are checked against polynomial arithmetic and digit-wise
 addition; rank and determinant against the minor and Leibniz oracles,
 which use no elimination.  The prefix-tree walk behind the exhaustive
 counts is checked against a flat sweep that runs one rank kernel call
-per tuple, on small primes in place of the random ones.  Runs are
+per tuple, on small primes in place of the random ones, and the
+sampler's lockstep elimination against one kernel call per view.  Runs are
 derandomized, so every run draws the same examples.
 """
 
@@ -25,6 +26,8 @@ from hankelcensus.gf import _TABLE_LIMIT, FieldSpec, _is_irreducible, _is_prime
 from hankelcensus.hankel import (
     DenseMatrix,
     _code_op_step,
+    _hankel_code_rows,
+    _lockstep_kernel,
     _pivot_loop,
     _rank_codes,
     _rank_kernel,
@@ -209,6 +212,97 @@ def test_sub_mul_kernel_matches_code_operations(name):
         assert _sub_mul_kernel(spec)(v, f, b) == [
             spec.sub_code(x, spec.mul_code(f, y)) for x, y in zip(v, b)
         ]
+
+    check()
+
+
+def linear_recurrence(spec, init, coeffs, length):
+    """x_t = sum_i coeffs[i-1] * x_{t-i} after init: every view has rank <= len(init)."""
+    x = list(init)
+    while len(x) < length:
+        acc = 0
+        for i, c in enumerate(coeffs, 1):
+            acc = spec.add_code(acc, spec.mul_code(c, x[-i]))
+        x.append(acc)
+    return x[:length]
+
+
+@st.composite
+def lockstep_cases(draw, name):
+    """(field, batch, rdeg, cdeg, limit) with zero pivots and low ranks common.
+
+    Each tuple draws its entries from zero and a few nonzero values, or
+    from every code, or follows a linear recurrence of order 1 to 3, whose
+    views have rank at most that order.  Limits reach min(rows, cols) + 1,
+    where every view counts.
+    """
+    spec = draw(fields(name))
+    rdeg, cdeg = draw(st.integers(-1, 4)), draw(st.integers(-1, 4))
+    limit = draw(st.integers(0, max(0, min(rdeg, cdeg) + 2)))
+    palette = draw(st.lists(st.integers(1, spec.order - 1), min_size=1, max_size=3))
+    few = st.sampled_from([0] + palette)
+    codes = st.integers(0, spec.order - 1)
+    length = max(0, rdeg + cdeg + 1)
+    batch = []
+    for _ in range(draw(st.sampled_from((1, 2, 7, 40)))):
+        kind = draw(st.sampled_from(("few", "any", "recurrence")))
+        if kind == "recurrence":
+            order = draw(st.integers(1, 3))
+            init = draw(st.lists(codes, min_size=order, max_size=order))
+            coeffs = draw(st.lists(codes, min_size=order, max_size=order))
+            batch.append(linear_recurrence(spec, init, coeffs, length))
+        else:
+            entries = few if kind == "few" else st.one_of(few, codes)
+            batch.append(draw(st.lists(entries, min_size=length, max_size=length)))
+    return spec, batch, rdeg, cdeg, limit
+
+
+def one_call_per_view(spec, batch, rdeg, cdeg, limit):
+    kern = _rank_kernel(spec)
+    return sum(kern(_hankel_code_rows(x, rdeg, cdeg), limit) <= limit for x in batch)
+
+
+@pytest.mark.parametrize("name", list(CLASSES))
+def test_lockstep_matches_one_kernel_call_per_view(name):
+    @PROPS
+    @given(lockstep_cases(name))
+    def check(case):
+        spec, batch, rdeg, cdeg, limit = case
+        count = _lockstep_kernel(spec)
+        assert count(batch, rdeg, cdeg, limit) == one_call_per_view(spec, batch, rdeg, cdeg, limit)
+        # lane by lane too, so that errors cannot cancel in the sum
+        for x in batch:
+            assert count([x], rdeg, cdeg, limit) == one_call_per_view(spec, [x], rdeg, cdeg, limit)
+
+    check()
+
+
+@pytest.mark.parametrize("name", list(CLASSES))
+def test_lockstep_decides_zero_pivots_and_zero_multipliers(name):
+    # hand-made 3 x 3 lanes: a zero pivot at (0, 0) on a full-rank and on
+    # a singular view, a zero pivot at (1, 1) only, a zero multiplier below
+    # a nonzero pivot, rank 1 and rank 0; limit 0 runs no step, limit 3
+    # needs none
+    @PROPS
+    @given(fields(name), st.data())
+    def check(spec, data):
+        a, b, c = (data.draw(st.integers(1, spec.order - 1)) for _ in range(3))
+        neg, mul = spec.neg_code, spec.mul_code
+        batch = [
+            [0, 0, a, 0, b],  # pivot (0, 0) zero, rank 3
+            [0, a, 0, 0, 0],  # pivot (0, 0) zero, rank 2
+            [a, b, mul(b, mul(b, spec.inv_code(a))), c, 0],  # pivot (1, 1) zero
+            [a, 0, b, c, 0],  # row 1 has multiplier 0 at step 0
+            [a, 0, 0, 0, 0],  # rank 1
+            [0, 0, 0, 0, 0],  # rank 0
+            [a, neg(a), a, neg(a), a],  # rank 1
+            [a, b, c, a, b],
+        ]
+        count = _lockstep_kernel(spec)
+        for limit in (0, 1, 2, 3):
+            assert count(batch, 2, 2, limit) == one_call_per_view(spec, batch, 2, 2, limit)
+            for x in batch:  # batches of one
+                assert count([x], 2, 2, limit) == one_call_per_view(spec, [x], 2, 2, limit)
 
     check()
 

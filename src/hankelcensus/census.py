@@ -53,16 +53,18 @@ thread-pool task each, and recombined in block order, so results never
 depend on the level of parallelism.  The cap is charged Q^(free) before
 the walk starts, an upper bound on the tuples it visits.
 
-The witness suite tests each tuple's annihilation once per gadget vector
-and view, not once per prefix.  For every vector v it flags all tuples in
-odometer order, one sweep for v on the (m, n) view and, for last(v) = 0,
-one for R(v) on the (m-1, n+1) view.  The tuples with a given k-prefix
-are then one contiguous block of Q^(m+n+1-k) flags, so the weakly and
-strongly nice tuples of each (v, prefix) are read off a block, and
-tuple objects are built only for flagged tuples.  The checks that follow
-(the count ratio, both round trips through alpha and beta, and the
-closure of the freed entry) run through the public gadget API, one
-NiceContext per (v, prefix).  The cap is charged those sweeps: one test
+The witness suite flags each tuple once per gadget vector and view, not
+once per prefix.  For every vector v it flags the tuples in odometer
+order, one set for v on the (m, n) view and, for last(v) = 0, one for R(v)
+on the (m-1, n+1) view.  The flagged tuples are grown one entry at a time,
+each entry taking only the values that complete an annihilated window.
+The tuples with a given k-prefix are one contiguous block of Q^(m+n+1-k)
+flags, so each (v, prefix) count ratio is a sum over a block.  Both round
+trips through alpha and beta run once per nice tuple, in the context of
+its own (n+1)-prefix, which settles every shorter prefix as well (see
+suite_witnesses), and the closure of the freed entry is read off the
+flags.  Tuple objects are built only for flagged tuples.  The cap is
+charged a full sweep per flag set, an upper bound on the work: one test
 per tuple for each tail-solver vector, two for each bijection vector.
 """
 
@@ -70,8 +72,9 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
 from functools import wraps
 from math import sqrt
@@ -97,6 +100,7 @@ from hankelcensus.witness import (
     R_inv,
     R_map,
     _annihilation_flags,
+    _window_successors,
     alpha,
     beta,
     is_strongly_nice,
@@ -900,6 +904,18 @@ def suite_witnesses(
     bijection; alpha and beta are mutually inverse between F x {strongly
     nice} and {weakly nice}; the freed entry is unconstrained; and the
     weak/strong counts differ by a factor of exactly Q.
+
+    Each bijection and closure check is an instance once per prefix
+    length k <= n+1, with the tuple's own k-prefix a = x[:k] as context.
+    The gadgets and predicates reach a only through the prefix test
+    entries[:k] == a.  So if the gadgets hand back the tuple s, a check's
+    outcome at k is E and s[:k] == x[:k], where E does not depend on k,
+    and a pass at k = n+1 is a pass at every k.  Each nice tuple is
+    therefore checked once, at k = n+1, and counts n+2 instances; one that
+    fails there is checked again at each k, so violation counts and the
+    first violation named are those of one check per prefix.  The closure
+    tests mutate x_(j+n+1), which lies past every prefix, and read the
+    flags.
     """
     q = field.order
     m_hi, n_hi = _gadget_bounds_or_raise(field, max_n)
@@ -997,8 +1013,9 @@ def suite_witnesses(
         params["first_violation"] = first_trunc
     yield _timed("truncation-bijection", field, params, 0, bad_trunc, "brute", started)
 
-    # alpha/beta bijection, count ratio, freed-entry closure; the nice
-    # tuples of each (v, prefix) are one block of the sweeps' flags
+    # alpha/beta bijection, count ratio, freed-entry closure.  The nice
+    # tuples of each (v, prefix) are one block of the sweeps' flags; a
+    # check that passes at the longest prefix, k = n+1, passes at every k
     started = time.perf_counter()
     bad = dict.fromkeys(
         ("free-entry-bijection", "weak-strong-count-ratio", "free-entry-closure"), 0
@@ -1006,22 +1023,34 @@ def suite_witnesses(
     inst_bij = 0
     inst_ratio = 0
     inst_closure = 0
+
+    # alpha and beta refuse tuples that are not nice, which only a wrong
+    # flag can hand them: count it as a miss
+    def weak_ok(ctx: NiceContext, x: SeqTuple) -> bool:
+        try:
+            y, s = beta(x, ctx)
+            return is_strongly_nice(s, ctx) and alpha(y, s, ctx) == x
+        except ValueError:
+            return False
+
+    def strong_ok(ctx: NiceContext, s: SeqTuple, y) -> bool:
+        try:
+            x2 = alpha(y, s, ctx)
+            return is_weakly_nice(x2, ctx) and beta(x2, ctx) == (y, s)
+        except ValueError:
+            return False
+
     for m in range(1, m_hi + 1):
         for n in range(n_hi + 1):
             length = m + n + 1
             all_codes = list(itertools.product(range(q), repeat=length))
             seqs: dict[int, SeqTuple] = {}  # built on first use, shared by all v
 
-            def flagged(flags: list[bool], lo: int, hi: int) -> list[SeqTuple]:
-                out = []
-                for i in itertools.compress(range(lo, hi), flags[lo:hi]):
-                    x = seqs.get(i)
-                    if x is None:
-                        x = seqs[i] = SeqTuple(
-                            field, tuple(elements[c] for c in all_codes[i])
-                        )
-                    out.append(x)
-                return out
+            def seq(i: int) -> SeqTuple:
+                x = seqs.get(i)
+                if x is None:
+                    x = seqs[i] = SeqTuple(field, tuple(elements[c] for c in all_codes[i]))
+                return x
 
             for vtail in itertools.product(range(q), repeat=m):
                 if not any(vtail):
@@ -1029,47 +1058,62 @@ def suite_witnesses(
                 v = RowVector.from_codes(field, vtail + (0,))
                 weak_flags = _annihilation_flags(field, v.codes, n + 1, length)
                 strong_flags = _annihilation_flags(field, vtail, n + 2, length)
+                weak = list(itertools.compress(range(len(weak_flags)), weak_flags))
+                strong = list(itertools.compress(range(len(strong_flags)), strong_flags))
+                ctxs: dict[tuple[int, ...], NiceContext] = {}
+
+                def where(k: int, i: int) -> str:
+                    return f"v={v.codes} a={all_codes[i][:k]} m={m} n={n}"
+
+                def context(k: int, i: int) -> NiceContext:
+                    a = all_codes[i][:k]
+                    ctx = ctxs.get(a)
+                    if ctx is None:
+                        ctx = ctxs[a] = NiceContext(field, m, n, v, SeqTuple.from_codes(field, a))
+                    return ctx
+
                 for k in range(n + 2):
                     size = q ** (length - k)
-                    for b, a in enumerate(iter_seq_tuples(field, k)):
-                        ctx = NiceContext(field, m, n, v, a)
-                        where = f"v={v.codes} a={a.codes} m={m} n={n}"
-                        lo, hi = b * size, (b + 1) * size
-                        weak = flagged(weak_flags, lo, hi)
-                        strong = flagged(strong_flags, lo, hi)
+                    nweak = Counter(i // size for i in weak)
+                    nstrong = Counter(i // size for i in strong)
+                    for b in range(q**k):
                         inst_ratio += 1
-                        if len(weak) != q * len(strong):
-                            flag("weak-strong-count-ratio", bad, where)
-                        pos = ctx.j + ctx.n + 1
-                        # alpha and beta refuse tuples that are not nice, which
-                        # only a wrong flag can hand them: count it as a miss
-                        for x in weak:
-                            inst_bij += 1
-                            try:
-                                y, s = beta(x, ctx)
-                                ok = is_strongly_nice(s, ctx) and alpha(y, s, ctx) == x
-                            except ValueError:
-                                ok = False
-                            if not ok:
-                                flag("free-entry-bijection", bad, f"{where} x={x.codes}")
-                            for y2 in elements:
-                                mutated = SeqTuple(
-                                    field,
-                                    x.entries[:pos] + (y2,) + x.entries[pos + 1 :],
-                                )
-                                inst_closure += 1
-                                if not is_weakly_nice(mutated, ctx):
-                                    flag("free-entry-closure", bad, f"{where} x={x.codes}")
-                        for s in strong:
-                            for y in elements:
-                                inst_bij += 1
-                                try:
-                                    x2 = alpha(y, s, ctx)
-                                    ok = is_weakly_nice(x2, ctx) and beta(x2, ctx) == (y, s)
-                                except ValueError:
-                                    ok = False
-                                if not ok:
-                                    flag("free-entry-bijection", bad, f"{where} x={s.codes}")
+                        if nweak[b] != q * nstrong[b]:
+                            flag("weak-strong-count-ratio", bad, where(k, b * size))
+
+                misses = []  # (k, prefix, side, tuple, y) of each bijection miss
+
+                def bijection(test, args, side: int, i: int, c: int) -> None:
+                    if test(context(n + 1, i), *args):
+                        return
+                    for k in range(n + 2):
+                        if k == n + 1 or not test(context(k, i), *args):
+                            misses.append((k, i // q ** (length - k), side, i, c))
+
+                pos = max(t for t, c in enumerate(vtail) if c) + n + 1
+                step = q ** (length - 1 - pos)
+                for i in weak:
+                    inst_bij += n + 2
+                    bijection(weak_ok, (seq(i),), 0, i, 0)
+                    # x with x_pos := c has index base + c*step; x_pos is
+                    # past every prefix, so the result holds at every k
+                    base = i - all_codes[i][pos] * step
+                    missed = sum(not weak_flags[base + c * step] for c in range(q))
+                    inst_closure += (n + 2) * q
+                    if missed:
+                        flag("free-entry-closure", bad, f"{where(0, i)} x={all_codes[i]}")
+                        bad["free-entry-closure"] += (n + 2) * missed - 1
+                for i in strong:
+                    s = seq(i)
+                    for c, y in enumerate(elements):
+                        inst_bij += n + 2
+                        bijection(strong_ok, (s, y), 1, i, c)
+                # in the order of one check per prefix: weak tuples before
+                # strong ones within each (k, prefix) block
+                for k, _, _, i, _ in sorted(misses):
+                    flag("free-entry-bijection", bad, f"{where(k, i)} x={all_codes[i]}")
+    # the zero windows are cached per vector across n; free them with the suite
+    _window_successors.cache_clear()
     for name, count in (
         ("free-entry-bijection", inst_bij),
         ("weak-strong-count-ratio", inst_ratio),
@@ -1219,6 +1263,12 @@ _SUITE_FUNCS = {
 }
 
 
+def _skip_if_empty(report: CensusReport) -> CensusReport:
+    if report.verdict == "match" and report.params.get("instances") == 0:
+        return replace(report, verdict="skipped")
+    return report
+
+
 def verify(
     suite: str,
     fields: Sequence[FieldSpec],
@@ -1229,9 +1279,11 @@ def verify(
 ) -> list[CensusReport]:
     """Run one suite (or "all") over the given fields.
 
-    Returns one report per checked instance family.  A suite that hits
-    the cap keeps the reports it finished and ends with one report of
-    verdict "skipped" instead of raising.
+    Returns one report per checked instance family.  A family with no
+    instances in the grid checked nothing, so its report has verdict
+    "skipped", not "match".  A suite that hits the cap keeps the reports
+    it finished and ends with one report of verdict "skipped" instead of
+    raising.
     """
     if max_n is not None and max_n < 0:
         raise ValueError(f"need max_n >= 0, got {max_n}")
@@ -1248,9 +1300,9 @@ def verify(
             # only the theorem suite enumerates through the sliced engine
             extra = {"jobs": jobs} if name == "theorems" else {}
             try:
-                reports.extend(fn(field, max_n, cap=cap, **extra))
+                reports.extend(map(_skip_if_empty, fn(field, max_n, cap=cap, **extra)))
             except CapExceededError as exc:
-                reports.extend(exc.reports)
+                reports.extend(map(_skip_if_empty, exc.reports))
                 reports.append(
                     CensusReport(
                         name,

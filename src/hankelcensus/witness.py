@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dataclass_field
+from functools import lru_cache
 
 from hankelcensus.gf import FieldElement, FieldSpec
 from hankelcensus.hankel import (
@@ -80,6 +81,22 @@ def _annihilates_codes(
     return True
 
 
+@lru_cache(maxsize=1024)
+def _window_successors(spec: FieldSpec, vcodes: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """For each head h of width-1 codes (read base Q), the codes c that
+    complete it to a window h + (c,) annihilated by v, from a brute sweep
+    of all Q^width windows.  Equal tuples are shared, so a cached entry
+    costs about one pointer per head."""
+    q = spec.order
+    windows = itertools.product(range(q), repeat=len(vcodes))
+    follow: list[list[int]] = [[] for _ in range(q ** (len(vcodes) - 1))]
+    for w, window in enumerate(windows):
+        if _annihilates_codes(spec, vcodes, window, 1):
+            follow[w // q].append(window[-1])
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    return [shared.setdefault(cs, cs) for cs in map(tuple, follow)]
+
+
 def _annihilation_flags(
     spec: FieldSpec, vcodes: tuple[int, ...], ncols: int, length: int
 ) -> list[bool]:
@@ -91,21 +108,23 @@ def _annihilation_flags(
     """
     q = spec.order
     width = len(vcodes)
+    flags = [False] * q**length
+    if ncols and width + ncols - 1 > length:
+        return flags  # the last column runs past the tuple
     # column t is annihilated exactly when its window x_t..x_{t+width-1}
-    # is, so the field arithmetic runs once per window, not once per tuple
-    zero_windows = {
-        w
-        for w in itertools.product(range(q), repeat=width)
-        if _annihilates_codes(spec, vcodes, w, 1)
-    }
-    flags = []
-    for x in itertools.product(range(q), repeat=length):
-        ok = True
-        for t in range(ncols):
-            if x[t : t + width] not in zero_windows:
-                ok = False
-                break
-        flags.append(ok)
+    # is, so the tuples are grown one entry at a time, in code order, and
+    # x_p only takes the values that complete an annihilated window
+    follow = _window_successors(spec, vcodes)
+    head = q ** (width - 1)  # a code's last width-1 entries are its value mod this
+    every = range(q)
+    codes = [0]
+    for p in range(length):
+        if 0 <= p - width + 1 < ncols:
+            codes = [x * q + c for x in codes for c in follow[x % head]]
+        else:
+            codes = [x * q + c for x in codes for c in every]
+    for x in codes:
+        flags[x] = True
     return flags
 
 

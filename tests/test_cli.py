@@ -203,6 +203,25 @@ def test_verify_witness_cap_counts_tail_vectors(capsys):
     assert lines[-1] == "result: pass (1 checks, 0 failures)"
 
 
+def test_verify_empty_family_is_skipped_not_passed(capsys):
+    # at --max-n 0 no m >= 1 is swept, so four families check nothing
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "witnesses", "--field", "2", "--max-n", "0"
+    )
+    assert code == 0
+    words = {line.split()[1]: line.split()[0] for line in out.splitlines()[:-1]}
+    assert words == {
+        "tail-solver-annihilation": "PASS",
+        "tail-solver-count": "PASS",
+        "truncation-bijection": "SKIP",
+        "free-entry-bijection": "SKIP",
+        "weak-strong-count-ratio": "SKIP",
+        "free-entry-closure": "SKIP",
+    }
+    assert "SKIP truncation-bijection field=GF(2) max_m=0 instances=0 " in out
+    assert out.splitlines()[-1] == "result: pass (6 checks, 0 failures)"
+
+
 def test_verify_all_stdout_matches_golden_file(capsys):
     # every instance count, formula and observed value of the full suite on
     # GF(2..5), pinned byte for byte; timing goes to stderr and is not pinned
@@ -263,6 +282,24 @@ def golden_stdout(capsys, runs, fmt: str, job_counts=()) -> str:
 def test_count_census_stdout_matches_golden_file(capsys, fmt):
     golden = GOLDEN / f"count_census_{fmt}.txt"
     assert golden_stdout(capsys, GOLDEN_RUNS, fmt, ("1", "3")).encode() == golden.read_bytes()
+
+
+# the witness suite's default grids on a prime field, GF(2^k) and GF(3^2)
+# log-table fields and GF(16), whose grid is the one-column (1, 0), plus
+# GF(4) on the larger (3, 2) grid; no family in them has zero instances
+WITNESS_RUNS = (
+    "verify --suite witnesses --field 7",
+    "verify --suite witnesses --field 8",
+    "verify --suite witnesses --field 9",
+    "verify --suite witnesses --field 16",
+    "verify --suite witnesses --field 4 --max-n 3",
+)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_witnesses_stdout_matches_golden_file(capsys, fmt):
+    golden = GOLDEN / f"verify_witnesses_{fmt}.txt"
+    assert golden_stdout(capsys, WITNESS_RUNS, fmt).encode() == golden.read_bytes()
 
 
 GF256 = "2^8:1,0,1,1,1,0,0,0,1"

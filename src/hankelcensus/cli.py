@@ -406,7 +406,7 @@ def _cmd_sample(args) -> int:
 
 _JOBS_HELP = (
     "enumeration slices run on this many threads; under CPython's GIL they "
-    "give no speedup (default: available cores)"
+    "give no speedup (default: 1)"
 )
 
 
@@ -424,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
         if cap:
             p.add_argument("--cap", type=int, default=None, help="enumeration cap (default 10^7 or HANKEL_CENSUS_CAP)")
         if jobs:
-            p.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
+            p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
 
     p = sub.add_parser("rank", help="rank of a Hankel matrix from explicit entries")
     common(p)
@@ -467,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--output", default="-")
     p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None, help=_JOBS_HELP)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("sample", help="seeded Monte Carlo estimate of the rank-bound probability")
@@ -491,10 +491,8 @@ def main(argv=None) -> int:
             args.cap = args.cap if args.cap is not None else _default_cap()
             if args.cap < 1:
                 raise ValueError("--cap must be >= 1")
-        if hasattr(args, "jobs"):
-            args.jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-            if args.jobs < 1:
-                raise ValueError("--jobs must be >= 1")
+        if hasattr(args, "jobs") and args.jobs < 1:
+            raise ValueError("--jobs must be >= 1")
         if hasattr(args, "trials") and args.trials < 1:
             raise ValueError("--trials must be >= 1")
         return args.handler(args)

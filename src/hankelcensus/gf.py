@@ -1,11 +1,12 @@
 """Exact arithmetic in finite fields GF(p^d).
 
-Elements are canonical coefficient vectors: the element
-c0 + c1*t + ... + c_{d-1}*t^{d-1} of GF(p)[t]/(modulus) is stored as the
-tuple (c0, c1, ..., c_{d-1}) with every ci in [0, p).  Each element also
-has an integer *code* in [0, Q), Q = p^d, obtained by reading the
-coefficients as little-endian base-p digits; code order is the canonical
-enumeration order (0 first, 1 second, then t, 1+t, ... for GF(4)).
+Elements are stored as integer *codes*: the element
+c0 + c1*t + ... + c_{d-1}*t^{d-1} of GF(p)[t]/(modulus), every ci in
+[0, p), has the code in [0, Q), Q = p^d, whose little-endian base-p digits
+are (c0, c1, ..., c_{d-1}).  Its coefficient tuple is decoded on demand.
+Code order is the canonical enumeration order (0 first, 1 second, then
+t, 1+t, ... for GF(4)).  Element arithmetic (ff_add and the others) runs
+on the field's code operations (FieldSpec.add_code and the others).
 
 Prime fields work for any prime p < 2^31.  Extension fields ship with
 fixed Conway moduli for Q in {4, 8, 9, 16, 25, 27, 32, 49, 64}; any other
@@ -15,7 +16,7 @@ Extension fields up to order 2^16 build O(Q) discrete-log tables on first
 use: antilogs and logs of a primitive element and, for odd p, Zech
 logarithms log(1 + g^n), so products, inverses and (odd p) sums are table
 lookups.  In characteristic 2 a sum is the XOR of codes.  Larger fields
-use polynomial arithmetic.
+use polynomial and coefficient-wise arithmetic on the decoded codes.
 
 Field spec text format: "Q" for a built-in field (e.g. "9"), or
 "p^d:c0,c1,...,cd" with little-endian modulus coefficients.  Elements
@@ -308,28 +309,27 @@ class FieldSpec:
         if isinstance(value, int):
             if not 0 <= value < self.order:
                 raise ValueError(f"code {value} out of range for {self}")
-            return FieldElement(self, self.decode(value))
+            return FieldElement(self, value)
         coeffs = [int(c) for c in value]
         if len(coeffs) > self.d:
             raise ValueError(f"too many coefficients for {self}")
         if not all(0 <= c < self.p for c in coeffs):
             raise ValueError(f"coefficients {coeffs} out of range [0, {self.p}) for {self}")
-        coeffs += [0] * (self.d - len(coeffs))
-        return FieldElement(self, tuple(coeffs))
+        return FieldElement(self, self.encode(coeffs))
 
     @property
     def zero(self) -> "FieldElement":
-        return FieldElement(self, (0,) * self.d)
+        return FieldElement(self, 0)
 
     @property
     def one(self) -> "FieldElement":
-        return FieldElement(self, (1,) + (0,) * (self.d - 1))
+        return FieldElement(self, 1)
 
     def elements(self) -> "list[FieldElement]":
         """All Q elements in canonical (little-endian odometer) order."""
         cached = self._elements
         if cached is None:
-            cached = [FieldElement(self, self.decode(i)) for i in range(self.order)]
+            cached = [FieldElement(self, i) for i in range(self.order)]
             object.__setattr__(self, "_elements", cached)
         return cached
 
@@ -453,17 +453,17 @@ def _smallest_prime_factor(n: int) -> int:
 
 @dataclass(frozen=True)
 class FieldElement:
-    """An element of a FieldSpec, stored as canonical coefficients."""
+    """An element of a FieldSpec, stored as its code in [0, Q)."""
 
     spec: FieldSpec
-    coeffs: tuple[int, ...]
+    code: int
 
     @property
-    def code(self) -> int:
-        return self.spec.encode(self.coeffs)
+    def coeffs(self) -> tuple[int, ...]:
+        return self.spec.decode(self.code)
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return self.code != 0
 
     def __add__(self, other):
         if not isinstance(other, FieldElement):
@@ -502,40 +502,29 @@ def _require_same_field(a: FieldElement, b: FieldElement) -> FieldSpec:
 
 
 def ff_add(a: FieldElement, b: FieldElement) -> FieldElement:
-    """Coefficient-wise sum mod p."""
+    """Sum, by FieldSpec.add_code; elements of different fields raise."""
     spec = _require_same_field(a, b)
-    p = spec.p
-    return FieldElement(spec, tuple((x + y) % p for x, y in zip(a.coeffs, b.coeffs)))
+    return FieldElement(spec, spec.add_code(a.code, b.code))
 
 
 def ff_sub(a: FieldElement, b: FieldElement) -> FieldElement:
     spec = _require_same_field(a, b)
-    p = spec.p
-    return FieldElement(spec, tuple((x - y) % p for x, y in zip(a.coeffs, b.coeffs)))
+    return FieldElement(spec, spec.sub_code(a.code, b.code))
 
 
 def ff_neg(a: FieldElement) -> FieldElement:
-    p = a.spec.p
-    return FieldElement(a.spec, tuple(-x % p for x in a.coeffs))
+    return FieldElement(a.spec, a.spec.neg_code(a.code))
 
 
 def ff_mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    """Polynomial product reduced mod the modulus and mod p."""
+    """Product, by FieldSpec.mul_code; elements of different fields raise."""
     spec = _require_same_field(a, b)
-    if spec.d == 1:
-        return FieldElement(spec, (a.coeffs[0] * b.coeffs[0] % spec.p,))
-    prod = _poly_mul(a.coeffs, b.coeffs, spec.p)
-    red = _poly_mod(prod, spec.modulus, spec.p)
-    red += [0] * (spec.d - len(red))
-    return FieldElement(spec, tuple(red))
+    return FieldElement(spec, spec.mul_code(a.code, b.code))
 
 
 def ff_inv(a: FieldElement) -> FieldElement:
-    """Multiplicative inverse by Fermat power a^(Q-2); zero raises."""
-    if not a:
-        raise ZeroDivisionError(f"inversion of zero in {a.spec}")
-    spec = a.spec
-    return spec.element(spec.inv_code(a.code))
+    """Multiplicative inverse, by FieldSpec.inv_code; zero raises."""
+    return FieldElement(a.spec, a.spec.inv_code(a.code))
 
 
 def ff_elements(spec: FieldSpec) -> list[FieldElement]:
@@ -550,7 +539,7 @@ def ff_elements(spec: FieldSpec) -> list[FieldElement]:
 
 def format_element(a: FieldElement) -> str:
     if a.spec.d == 1:
-        return str(a.coeffs[0])
+        return str(a.code)
     terms = []
     for i, c in enumerate(a.coeffs):
         if c == 0:
@@ -609,7 +598,7 @@ def parse_element(spec: FieldSpec, text: str) -> FieldElement:
         if not 0 <= power < spec.d:
             raise ValueError(f"power t^{power} out of range for {spec}")
         coeffs[power] = (coeffs[power] + _literal_coeff(spec, coeff, text)) % spec.p
-    return FieldElement(spec, tuple(coeffs))
+    return FieldElement(spec, spec.encode(coeffs))
 
 
 def parse_field(text: str) -> FieldSpec:

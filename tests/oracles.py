@@ -3,6 +3,14 @@
 Everything here deliberately avoids Gaussian elimination: determinants
 come from the permutation-sum formula, ranks from nonvanishing minors,
 and kernel counts from literal enumeration of row vectors.
+
+Their arithmetic is FieldElement arithmetic, which runs on the field's
+code operations, and so on log tables for extension fields up to 2^16.
+test_properties.test_builtin_code_ops_match_table_free_arithmetic ties it
+to table-free arithmetic (digit-wise sums mod p, polynomial products) on
+every pair of elements of every built-in extension field, and
+test_code_ops_match_polynomial_arithmetic on random pairs in every field
+class.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hankelcensus.cli import main
+from hankelcensus.cli import build_parser, main
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -332,6 +332,43 @@ def test_sample_stdout_matches_golden_file(capsys, fmt):
     assert golden_stdout(capsys, SAMPLE_RUNS, fmt).encode() == golden.read_bytes()
 
 
+# rank on a prime field, a log-table field and a field above 2^16, with
+# negative, summed and zero-heavy literals and rank-deficient tuples (JSON
+# prints the entries through format_element); jt by both brute paths on
+# GF(5) and GF(9), u < v, u = v and u > v.  Above 2^16 jt runs the formula
+# only: its brute paths at u = v = 1 take seconds
+RANK_JT_RUNS = (
+    "rank --field 7 --m 2 --n 3 3,0,-1,6,5,2",
+    "rank --field 7 --m 2 --n 3 1,3,2,6,4,5",
+    "rank --field 7 --m 2 --n 2 0,0,0,0,-2",
+    "rank --field 9 --m 2 --n 2 t,2*t+1,1+t+t,0,2*t",
+    "rank --field 9 --m 2 --n 3 1,t,t+1,2*t+1,2,2*t",
+    "rank --field 9 --m 3 --n 3 0,0,-1*t,1,2*t+-1,t^1,0",
+    f"rank --field {GF2_17} --m 2 --n 2 t^16+1,t,0,1,t^3+t^2",
+    f"rank --field {GF2_17} --m 2 --n 2 1,t,t^2,t^3,t^4",
+    f"rank --field {GF2_17} --m 3 --n 4 t^16+1,t,0,1,t^3+t^2,t^15,1,t^16",
+    "jt --field 5 --u 2 --v 3 --mode both --path flip --show-flip",
+    "jt --field 5 --u 2 --v 3 --mode both --path direct --show-flip",
+    "jt --field 5 --u 3 --v 3 --mode both --path flip --show-flip",
+    "jt --field 5 --u 3 --v 3 --mode both --path direct --show-flip",
+    "jt --field 5 --u 3 --v 2 --mode both --path flip --show-flip",
+    "jt --field 5 --u 3 --v 2 --mode both --path direct --show-flip",
+    "jt --field 9 --u 2 --v 2 --mode both --path flip --show-flip",
+    "jt --field 9 --u 2 --v 2 --mode both --path direct --show-flip",
+    "jt --field 9 --u 2 --v 3 --mode both --path flip --show-flip",
+    "jt --field 9 --u 2 --v 3 --mode both --path direct --show-flip",
+    f"jt --field {GF2_17} --u 1 --v 1 --mode formula --show-flip",
+    f"jt --field {GF2_17} --u 3 --v 2 --mode formula --show-flip",
+    f"jt --field {GF2_17} --u 2 --v 4 --mode formula --show-flip",
+)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_rank_jt_stdout_matches_golden_file(capsys, fmt):
+    golden = GOLDEN / f"rank_jt_{fmt}.txt"
+    assert golden_stdout(capsys, RANK_JT_RUNS, fmt).encode() == golden.read_bytes()
+
+
 def test_verify_gadget_skip_names_the_grid_limit(capsys):
     # the gadget work limit is not the cap, so --cap cannot lift it
     code, out, _ = run_cli(
@@ -392,6 +429,19 @@ def test_output_file(tmp_path, capsys):
     assert code == 0 and out == ""
     record = json.loads(target.read_text())
     assert record["observed"] == "4"
+
+
+def test_jobs_defaults_to_one_and_rejects_zero(capsys):
+    # one thread unless asked: the pool gives no speedup under the GIL
+    parser = build_parser()
+    for argv in (
+        ["count", "--field", "2", "--m", "1", "--n", "1", "--r", "1"],
+        ["census", "--field", "2", "--m", "1", "--n", "1"],
+        ["verify"],
+    ):
+        assert parser.parse_args(argv).jobs == 1
+    code, _, err = run_cli(capsys, "census", "--field", "2", "--m", "1", "--n", "1", "--jobs", "0")
+    assert code == 2 and "--jobs must be >= 1" in err
 
 
 def test_bad_field_spec(capsys):

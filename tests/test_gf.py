@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
 
 from hankelcensus.gf import (
     BUILTIN_ORDERS,
+    FieldElement,
     FieldSpec,
     ff_add,
     ff_elements,
     ff_inv,
     ff_mul,
+    ff_neg,
     ff_sub,
     format_element,
     parse_element,
@@ -20,6 +23,8 @@ from hankelcensus.gf import (
 )
 
 AXIOM_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
+
+GF2_17 = "2^17:1,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,1"
 
 
 def test_builtin_orders_construct():
@@ -97,16 +102,30 @@ def test_inv_examples():
     # from t*t = 1+t it follows that t*(1+t) = t^2+t = 1
     f4 = FieldSpec.from_order(4)
     assert ff_inv(f4.element(2)) == f4.element((1, 1))
-    with pytest.raises(ZeroDivisionError):
-        ff_inv(f4.zero)
+    for spec in (f5, f2, f4, parse_field(GF2_17), FieldSpec(2**31 - 1)):
+        with pytest.raises(ZeroDivisionError):
+            ff_inv(spec.zero)
+        with pytest.raises(ZeroDivisionError):
+            spec.one / spec.zero
 
 
 def test_mismatched_fields_rejected():
     f2, f3 = FieldSpec(2), FieldSpec(3)
-    with pytest.raises(ValueError):
-        ff_add(f2.one, f3.one)
-    with pytest.raises(ValueError):
-        ff_mul(f2.one, f3.one)
+    # elements of different fields, most with equal codes; GF(9) under two
+    # moduli has equal coefficients too
+    pairs = (
+        (f2.one, f3.one),
+        (FieldSpec.from_order(9).element(5), FieldSpec(3, 2, (1, 0, 1)).element(5)),
+        (parse_field(GF2_17).one, f2.one),
+        (FieldSpec(2**31 - 1).element(7), FieldSpec(7).element(0)),
+    )
+    for a, b in pairs:
+        assert a != b
+        for op in (ff_add, ff_sub, ff_mul):
+            with pytest.raises(ValueError):
+                op(a, b)
+        with pytest.raises(ValueError):
+            a.spec.element(b)
     # equal specs constructed twice interoperate
     g1 = FieldSpec(2, 2, (1, 1, 1))
     g2 = FieldSpec(2, 2, (1, 1, 1))
@@ -164,11 +183,36 @@ def test_parse_field_round_trip():
         assert parse_field(spec.spec_string()) == spec
 
 
-@pytest.mark.parametrize("q", [4, 7, 9, 27])
+@pytest.mark.parametrize(
+    "q",
+    [4, 7, 9, 27, pytest.param(GF2_17, id="2^17"), pytest.param(2**31 - 1, id="2^31-1")],
+)
 def test_element_text_round_trip(q):
-    spec = FieldSpec.from_order(q)
-    for e in ff_elements(spec):
-        assert parse_element(spec, format_element(e)) == e
+    # an element is its spec and its code; built from a code, from its
+    # coefficients or by parsing its text, it is the same value
+    assert [f.name for f in dataclasses.fields(FieldElement)] == ["spec", "code"]
+    spec = parse_field(str(q))
+    if spec.order <= 27:
+        codes = range(spec.order)
+        assert [e.code for e in ff_elements(spec)] == list(codes)
+    else:
+        codes = (0, 1, 2, spec.p - 1, 12345, spec.order // 3, spec.order - 1)
+    for code in codes:
+        e = spec.element(code)
+        from_coeffs = spec.element(e.coeffs)
+        parsed = parse_element(spec, format_element(e))
+        assert e.code == from_coeffs.code == parsed.code == code
+        assert e.coeffs == from_coeffs.coeffs == parsed.coeffs == spec.decode(code)
+        assert len(e.coeffs) == spec.d and spec.encode(e.coeffs) == code
+        assert e == from_coeffs == parsed and spec.element(e) is e
+        assert hash(e) == hash(from_coeffs) == hash(parsed)
+        assert len({e, from_coeffs, parsed}) == 1
+        assert bool(e) == (code != 0) == any(e.coeffs)
+        assert ff_add(e, ff_neg(e)) == spec.zero
+    if spec.d > 2:
+        top = spec.element((1,) + (0,) * (spec.d - 2) + (1,))
+        assert top.code == 1 + spec.p ** (spec.d - 1)
+        assert format_element(top) == f"1+t^{spec.d - 1}"
 
 
 def test_parse_element_errors():

@@ -4,13 +4,15 @@ Fields are drawn at random in five classes: primes below 2^31, and
 extension fields with random irreducible moduli that are small (p = 2 or
 odd p), past q = 1024 with log tables, or above the table limit, where
 polynomial arithmetic runs.  Every test runs once per class.  Field code
-operations are checked against polynomial arithmetic and digit-wise
-addition; rank and determinant against the minor and Leibniz oracles,
-which use no elimination.  The prefix-tree walk behind the exhaustive
-counts is checked against a flat sweep that runs one rank kernel call
-per tuple, on small primes in place of the random ones, and the
-sampler's lockstep elimination against one kernel call per view.  Runs are
-derandomized, so every run draws the same examples.
+operations, and the element operations on them, are checked against
+polynomial arithmetic and digit-wise addition, on random pairs and on
+every pair of every built-in extension field; rank and determinant
+against the minor and Leibniz oracles, which use no elimination.  The
+prefix-tree walk behind the exhaustive counts is checked against a flat
+sweep that runs one rank kernel call per tuple, on small primes in place
+of the random ones, and the sampler's lockstep elimination against one
+kernel call per view.  Runs are derandomized, so every run draws the
+same examples.
 """
 
 from __future__ import annotations
@@ -22,7 +24,13 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from hankelcensus.census import _tally_ranks, _test_shape
-from hankelcensus.gf import _TABLE_LIMIT, FieldSpec, _is_irreducible, _is_prime
+from hankelcensus.gf import (
+    _TABLE_LIMIT,
+    BUILTIN_ORDERS,
+    FieldSpec,
+    _is_irreducible,
+    _is_prime,
+)
 from hankelcensus.hankel import (
     DenseMatrix,
     _code_op_step,
@@ -106,31 +114,51 @@ def test_tables_exist_only_for_extensions_within_the_limit(name):
     check()
 
 
+def check_code_ops(spec, a, b):
+    """Code operations, and the element operations built on them, against
+    table-free arithmetic: digit-wise sums mod p, and products by
+    polynomial multiplication and reduction (_mul_code_raw)."""
+    p = spec.p
+    raw_mul = spec._mul_code_raw if spec.d > 1 else (lambda x, y: x * y % p)
+    da, db = spec.decode(a), spec.decode(b)
+    ea, eb = spec.element(a), spec.element(b)
+    add = spec.encode([(x + y) % p for x, y in zip(da, db)])
+    sub = spec.encode([(x - y) % p for x, y in zip(da, db)])
+    neg = spec.encode([-x % p for x in da])
+    mul = raw_mul(a, b)
+    assert spec.add_code(a, b) == (ea + eb).code == add
+    assert spec.sub_code(a, b) == (ea - eb).code == sub
+    assert spec.neg_code(a) == (-ea).code == neg
+    assert spec.mul_code(a, b) == (ea * eb).code == mul
+    if a:
+        inv = spec.inv_code(a)
+        assert raw_mul(a, inv) == 1 and (spec.one / ea).code == inv
+
+
 @pytest.mark.parametrize("name", list(CLASSES))
 def test_code_ops_match_polynomial_arithmetic(name):
     @PROPS
     @given(fields(name), st.data())
     def check(spec, data):
-        q, p = spec.order, spec.p
+        q = spec.order
         codes = st.integers(0, q - 1)
         for _ in range(20):
-            a, b = data.draw(codes), data.draw(codes)
-            da, db = spec.decode(a), spec.decode(b)
-            assert spec.add_code(a, b) == spec.encode([(x + y) % p for x, y in zip(da, db)])
-            assert spec.sub_code(a, b) == spec.encode([(x - y) % p for x, y in zip(da, db)])
-            assert spec.neg_code(a) == spec.encode([-x % p for x in da])
-            if spec.d == 1:
-                assert spec.mul_code(a, b) == a * b % p
-            else:
-                assert spec.mul_code(a, b) == spec._mul_code_raw(a, b)
-            if a:
-                assert spec.mul_code(a, spec.inv_code(a)) == 1
+            check_code_ops(spec, data.draw(codes), data.draw(codes))
         for a in (0, 1, q - 1):
             assert spec.mul_code(a, 0) == spec.mul_code(0, a) == 0
             assert spec.add_code(a, 0) == spec.add_code(0, a) == a
             assert spec.add_code(a, spec.neg_code(a)) == 0
 
     check()
+
+
+@pytest.mark.parametrize("q", BUILTIN_ORDERS)
+def test_builtin_code_ops_match_table_free_arithmetic(q):
+    # every pair of every built-in extension field: the oracles in
+    # oracles.py compute with element arithmetic, which runs on log tables
+    spec = FieldSpec.from_order(q)
+    for a, b in itertools.product(range(q), repeat=2):
+        check_code_ops(spec, a, b)
 
 
 @pytest.mark.parametrize("name", list(CLASSES))

@@ -930,8 +930,6 @@ def suite_witnesses(
         ),
         cap,
     )
-    elements = field.elements()
-
     firsts: dict[str, str] = {}
 
     def flag(name: str, counts: dict, where: str) -> None:
@@ -1044,14 +1042,6 @@ def suite_witnesses(
         for n in range(n_hi + 1):
             length = m + n + 1
             all_codes = list(itertools.product(range(q), repeat=length))
-            seqs: dict[int, SeqTuple] = {}  # built on first use, shared by all v
-
-            def seq(i: int) -> SeqTuple:
-                x = seqs.get(i)
-                if x is None:
-                    x = seqs[i] = SeqTuple(field, tuple(elements[c] for c in all_codes[i]))
-                return x
-
             for vtail in itertools.product(range(q), repeat=m):
                 if not any(vtail):
                     continue
@@ -1094,7 +1084,7 @@ def suite_witnesses(
                 step = q ** (length - 1 - pos)
                 for i in weak:
                     inst_bij += n + 2
-                    bijection(weak_ok, (seq(i),), 0, i, 0)
+                    bijection(weak_ok, (SeqTuple.from_codes(field, all_codes[i]),), 0, i, 0)
                     # x with x_pos := c has index base + c*step; x_pos is
                     # past every prefix, so the result holds at every k
                     base = i - all_codes[i][pos] * step
@@ -1104,8 +1094,8 @@ def suite_witnesses(
                         flag("free-entry-closure", bad, f"{where(0, i)} x={all_codes[i]}")
                         bad["free-entry-closure"] += (n + 2) * missed - 1
                 for i in strong:
-                    s = seq(i)
-                    for c, y in enumerate(elements):
+                    s = SeqTuple.from_codes(field, all_codes[i])
+                    for c, y in enumerate(field.elements()):
                         inst_bij += n + 2
                         bijection(strong_ok, (s, y), 1, i, c)
                 # in the order of one check per prefix: weak tuples before
@@ -1244,13 +1234,17 @@ def suite_jt(
     for total in range(1, weight + 1):
         for u in range(1, total + 1):
             v = total + 1 - u
+            # each count report times its own path; the agreement, both
             started = time.perf_counter()
             formula = count_jt_singular_formula(field, u, v)
             flip = brute_count_jt_singular(field, u, v, cap, path="flip")
-            direct = brute_count_jt_singular(field, u, v, cap, path="direct")
             params = {"u": u, "v": v}
             yield _timed("jt-singular-count-flip", field, params, formula, flip, "brute", started)
-            yield _timed("jt-singular-count-direct", field, params, formula, direct, "brute", started)
+            direct_started = time.perf_counter()
+            direct = brute_count_jt_singular(field, u, v, cap, path="direct")
+            yield _timed(
+                "jt-singular-count-direct", field, params, formula, direct, "brute", direct_started
+            )
             yield _timed("jt-path-agreement", field, params, flip, direct, "brute", started)
 
 

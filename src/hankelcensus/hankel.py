@@ -6,7 +6,9 @@ be -1, giving a legal empty matrix of rank 0.  Rank, determinant and left
 kernel dimension are computed by exact Gaussian elimination with partial
 pivoting on the first nonzero entry.
 
-Internally rows are lists of integer element codes (see gf).  Rank and
+The containers (SeqTuple, RowVector, DenseMatrix) hold their field and a
+tuple of integer element codes (see gf); a FieldElement is decoded only
+when an entry is read.  Internally rows are lists of codes.  Rank and
 determinant run one pivot loop: it finds each column's first nonzero
 entry below the rows already used, and hands it to a step bound once per
 field, which swaps that row up and clears the column below it.  Prime
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import lru_cache, partial
 from typing import Iterator, Sequence
 
 from hankelcensus.gf import FieldElement, FieldSpec
@@ -49,37 +51,67 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SeqTuple:
-    """A tuple (x_0, ..., x_N) of field elements."""
+def _encode(field: FieldSpec, entries: Sequence[FieldElement]) -> tuple[int, ...]:
+    for e in entries:
+        if e.spec != field:
+            raise ValueError(f"entry {e!r} does not belong to {field}")
+    return tuple(e.code for e in entries)
+
+
+@dataclass(frozen=True, init=False)
+class _CodeTuple:
+    """A tuple of elements of one field, held as the field and their codes.
+
+    Reading an entry (x[i], a slice, iteration, `entries`) decodes it.
+    Equal codes in the same field and of the same class compare equal.
+    """
 
     field: FieldSpec
-    entries: tuple[FieldElement, ...]
+    codes: tuple[int, ...]
 
-    def __post_init__(self):
-        for e in self.entries:
-            if e.spec != self.field:
-                raise ValueError(f"entry {e!r} does not belong to {self.field}")
+    def __init__(self, field: FieldSpec, entries: Sequence[FieldElement]):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "codes", _encode(field, entries))
 
     @classmethod
-    def from_codes(cls, field: FieldSpec, codes: Sequence[int]) -> "SeqTuple":
-        return cls(field, tuple(field.element(c) for c in codes))
+    def from_codes(cls, field: FieldSpec, codes: Sequence[int]):
+        """The tuple with these codes, each in [0, Q)."""
+        codes = tuple(codes)
+        if codes and not (0 <= min(codes) and max(codes) < field.order):
+            raise ValueError(f"codes {codes} out of range for {field}")
+        x = object.__new__(cls)
+        object.__setattr__(x, "field", field)
+        object.__setattr__(x, "codes", codes)
+        return x
 
-    @cached_property
-    def codes(self) -> tuple[int, ...]:
-        return tuple(e.code for e in self.entries)
+    @property
+    def entries(self) -> tuple[FieldElement, ...]:
+        return self[:]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.codes)
 
-    def __getitem__(self, i) -> FieldElement:
-        return self.entries[i]
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(FieldElement(self.field, c) for c in self.codes[i])
+        return FieldElement(self.field, self.codes[i])
 
-    def __iter__(self):
-        return iter(self.entries)
+    def __iter__(self) -> Iterator[FieldElement]:
+        return iter(self[:])
 
     def __str__(self):
-        return "(" + ",".join(str(e) for e in self.entries) + ")"
+        return "(" + ",".join(str(e) for e in self) + ")"
+
+
+class SeqTuple(_CodeTuple):
+    """A tuple (x_0, ..., x_N) of field elements."""
+
+
+class RowVector(_CodeTuple):
+    """A row vector v = (v_0, ..., v_m) over a fixed field; true when nonzero."""
+
+    def __bool__(self) -> bool:
+        return any(self.codes)
 
 
 @dataclass(frozen=True)
@@ -102,25 +134,38 @@ class HankelShape:
         return self.cdeg + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DenseMatrix:
-    """Row-major dense matrix with entries in a fixed field."""
+    """Row-major dense matrix over a fixed field, held as a tuple of codes.
+
+    DenseMatrix(field, rows, cols, data) takes the entries as field
+    elements, row by row; `data`, `entry` and `row` decode them again.
+    """
 
     field: FieldSpec
     rows: int
     cols: int
-    data: tuple[FieldElement, ...]
+    codes: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, field: FieldSpec, rows: int, cols: int, data: Sequence[FieldElement]):
+        self._set(field, rows, cols, _encode(field, data))
+
+    def _set(self, field: FieldSpec, rows: int, cols: int, codes: tuple[int, ...]) -> None:
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.data) != self.rows * self.cols:
-            raise ValueError(
-                f"data length {len(self.data)} != {self.rows} x {self.cols}"
-            )
-        for e in self.data:
-            if e.spec != self.field:
-                raise ValueError(f"entry {e!r} does not belong to {self.field}")
+        if len(codes) != rows * cols:
+            raise ValueError(f"data length {len(codes)} != {rows} x {cols}")
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "codes", codes)
+
+    @classmethod
+    def _of(cls, field: FieldSpec, rows: int, cols: int, codes: tuple[int, ...]) -> "DenseMatrix":
+        # from codes already in [0, Q)
+        M = object.__new__(cls)
+        M._set(field, rows, cols, codes)
+        return M
 
     @classmethod
     def from_rows(
@@ -145,79 +190,43 @@ class DenseMatrix:
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "DenseMatrix":
-        return cls(field, rows, cols, (field.zero,) * (rows * cols))
+        return cls._of(field, rows, cols, (0,) * (rows * cols))
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "DenseMatrix":
-        one, zero = field.one, field.zero
-        data = tuple(one if i == j else zero for i in range(n) for j in range(n))
-        return cls(field, n, n, data)
+        codes = tuple(int(i == j) for i in range(n) for j in range(n))
+        return cls._of(field, n, n, codes)
+
+    @property
+    def data(self) -> tuple[FieldElement, ...]:
+        return tuple(FieldElement(self.field, c) for c in self.codes)
 
     def entry(self, i: int, j: int) -> FieldElement:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry ({i},{j}) out of range")
-        return self.data[i * self.cols + j]
+        return FieldElement(self.field, self.codes[i * self.cols + j])
 
     def row(self, i: int) -> tuple[FieldElement, ...]:
-        return self.data[i * self.cols : (i + 1) * self.cols]
+        c = self.cols
+        return tuple(FieldElement(self.field, x) for x in self.codes[i * c : (i + 1) * c])
 
     def code_rows(self) -> list[list[int]]:
         """Fresh mutable integer-code rows (safe to hand to the kernels)."""
-        c = self.cols
-        codes = [e.code for e in self.data]
-        return [codes[i * c : (i + 1) * c] for i in range(self.rows)]
+        c, codes = self.cols, self.codes
+        return [list(codes[i * c : (i + 1) * c]) for i in range(self.rows)]
 
     def transpose(self) -> "DenseMatrix":
-        data = tuple(
-            self.data[i * self.cols + j]
-            for j in range(self.cols)
-            for i in range(self.rows)
-        )
-        return DenseMatrix(self.field, self.cols, self.rows, data)
+        codes = tuple(itertools.chain.from_iterable(zip(*self.code_rows())))
+        return DenseMatrix._of(self.field, self.cols, self.rows, codes)
 
     def reverse_rows(self) -> "DenseMatrix":
-        data = tuple(
-            e for i in reversed(range(self.rows)) for e in self.row(i)
-        )
-        return DenseMatrix(self.field, self.rows, self.cols, data)
+        codes = tuple(itertools.chain.from_iterable(reversed(self.code_rows())))
+        return DenseMatrix._of(self.field, self.rows, self.cols, codes)
 
     def __str__(self):
         return "\n".join(
             "[" + " ".join(str(e) for e in self.row(i)) + "]" for i in range(self.rows)
         )
-
-
-@dataclass(frozen=True)
-class RowVector:
-    """A row vector v = (v_0, ..., v_m) over a fixed field."""
-
-    field: FieldSpec
-    entries: tuple[FieldElement, ...]
-
-    def __post_init__(self):
-        for e in self.entries:
-            if e.spec != self.field:
-                raise ValueError(f"entry {e!r} does not belong to {self.field}")
-
-    @classmethod
-    def from_codes(cls, field: FieldSpec, codes: Sequence[int]) -> "RowVector":
-        return cls(field, tuple(field.element(c) for c in codes))
-
-    @cached_property
-    def codes(self) -> tuple[int, ...]:
-        return tuple(e.code for e in self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, i) -> FieldElement:
-        return self.entries[i]
-
-    def __bool__(self) -> bool:
-        return any(self.entries)
-
-    def __str__(self):
-        return "(" + ",".join(str(e) for e in self.entries) + ")"
 
 
 # ----------------------------------------------------------------------
@@ -271,6 +280,7 @@ def _code_op_step(spec: FieldSpec):
     return step
 
 
+@lru_cache(maxsize=16)
 def _kernels(spec: FieldSpec):
     """Bind, once per field, the pivot step, the one-vector update and the lane update.
 
@@ -284,7 +294,9 @@ def _kernels(spec: FieldSpec):
     garbage, which the caller must decide some other way.  All three work
     in one representation: arithmetic mod p for prime fields, log tables
     (gf._LogTables) with XOR sums for p = 2 or Zech sums for odd p, and
-    the code operations above the table limit.
+    the code operations above the table limit.  The bindings of the
+    fields used last are kept, a bounded number so that user-supplied
+    fields are not kept forever.
     """
     if spec.d == 1:
         p = spec.p
@@ -421,7 +433,7 @@ def _rank_codes(spec: FieldSpec, rows: list[list[int]], limit: int | None = None
     cap = min(len(rows), len(rows[0]) if rows else 0)
     if limit is None or limit > cap:
         limit = cap
-    return _rank_kernel(spec)(rows, limit)
+    return _pivot_loop(_kernels(spec)[0], rows, limit)
 
 
 def _hankel_code_rows(codes: Sequence[int], rdeg: int, cdeg: int) -> list[list[int]]:
@@ -484,8 +496,9 @@ def materialize_hankel(x: SeqTuple, shape: HankelShape) -> DenseMatrix:
             f"for a tuple of length {len(x)}"
         )
     nrows, ncols = shape.rows, shape.cols
-    data = tuple(x.entries[i + j] for i in range(nrows) for j in range(ncols))
-    return DenseMatrix(x.field, nrows, ncols, data)
+    codes = x.codes
+    data = tuple(codes[i + j] for i in range(nrows) for j in range(ncols))
+    return DenseMatrix._of(x.field, nrows, ncols, data)
 
 
 def rank_gauss(M: DenseMatrix) -> int:
@@ -522,16 +535,7 @@ def prefix(x: SeqTuple, k: int) -> SeqTuple:
     """The k-tuple of the first k entries of x."""
     if not 0 <= k <= len(x):
         raise ValueError(f"prefix length {k} out of range for tuple of length {len(x)}")
-    return SeqTuple(x.field, x.entries[:k])
-
-
-def _jt_entry(y: SeqTuple, idx: int) -> FieldElement:
-    # index 0 means the constant one; negative indices mean zero
-    if idx < 0:
-        return y.field.zero
-    if idx == 0:
-        return y.field.one
-    return y.entries[idx - 1]
+    return SeqTuple.from_codes(x.field, x.codes[:k])
 
 
 def jt_matrix(y: SeqTuple, u: int, v: int) -> DenseMatrix:
@@ -544,10 +548,10 @@ def jt_matrix(y: SeqTuple, u: int, v: int) -> DenseMatrix:
         raise ValueError(f"need u, v >= 0 with u+v >= 1, got u={u}, v={v}")
     if len(y) != u + v - 1:
         raise ValueError(f"y must have {u + v - 1} entries, got {len(y)}")
-    data = tuple(
-        _jt_entry(y, u - i + j) for i in range(1, v + 1) for j in range(1, v + 1)
-    )
-    return DenseMatrix(y.field, v, v, data)
+    # ext[v + idx] is y_idx for every idx >= 1 - v: 1 at 0, 0 below it
+    ext = (0,) * v + (1,) + y.codes
+    codes = tuple(ext[v + u - i + j] for i in range(1, v + 1) for j in range(1, v + 1))
+    return DenseMatrix._of(y.field, v, v, codes)
 
 
 def jt_to_hankel(y: SeqTuple, u: int, v: int) -> SeqTuple:
@@ -561,8 +565,8 @@ def jt_to_hankel(y: SeqTuple, u: int, v: int) -> SeqTuple:
         raise ValueError(f"the flip needs u >= 1 and v >= 1, got u={u}, v={v}")
     if len(y) != u + v - 1:
         raise ValueError(f"y must have {u + v - 1} entries, got {len(y)}")
-    entries = tuple(_jt_entry(y, u - v + 1 + t) for t in range(2 * v - 1))
-    return SeqTuple(y.field, entries)
+    # the ext of jt_matrix, read at v + (u - v + 1 + t)
+    return SeqTuple.from_codes(y.field, ((0,) * v + (1,) + y.codes)[u + 1 : u + 2 * v])
 
 
 def row_reversal_sign(field: FieldSpec, nrows: int) -> FieldElement:
@@ -578,12 +582,12 @@ def vec_mat_mul(v: RowVector, M: DenseMatrix) -> RowVector:
     if v.field != M.field:
         raise ValueError("vector and matrix live in different fields")
     spec = M.field
-    vcodes = v.codes
+    add, mul = spec.add_code, spec.mul_code
     out = []
     for j in range(M.cols):
         acc = 0
-        for i in range(M.rows):
-            acc = spec.add_code(acc, spec.mul_code(vcodes[i], M.data[i * M.cols + j].code))
+        for vi, mij in zip(v.codes, M.codes[j :: M.cols]):
+            acc = add(acc, mul(vi, mij))
         out.append(acc)
     return RowVector.from_codes(spec, out)
 
@@ -595,16 +599,12 @@ def iter_seq_tuples(
 
     Enumeration is the canonical odometer over element codes.
     """
-    head: tuple[FieldElement, ...] = ()
+    head: tuple[int, ...] = ()
     if fixed_prefix is not None:
         if fixed_prefix.field != field:
             raise ValueError("prefix belongs to a different field")
         if len(fixed_prefix) > length:
             raise ValueError("prefix longer than requested tuple")
-        head = fixed_prefix.entries
-    free = length - len(head)
-    if free == 0:  # do not touch the element table of a huge field
-        yield SeqTuple(field, head)
-        return
-    for tail in itertools.product(field.elements(), repeat=free):
-        yield SeqTuple(field, head + tail)
+        head = fixed_prefix.codes
+    for tail in itertools.product(range(field.order), repeat=length - len(head)):
+        yield SeqTuple.from_codes(field, head + tail)

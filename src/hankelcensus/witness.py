@@ -26,6 +26,7 @@ from hankelcensus.hankel import (
     HankelShape,
     RowVector,
     SeqTuple,
+    iter_seq_tuples,
     materialize_hankel,
 )
 from hankelcensus.ranklaw import kernel_count_nonzero
@@ -49,19 +50,19 @@ def last(v: RowVector) -> FieldElement:
     """Final entry of a nonempty row vector."""
     if len(v) == 0:
         raise ValueError("empty row vector has no last entry")
-    return v.entries[-1]
+    return v[-1]
 
 
 def R_map(v: RowVector) -> RowVector:
     """Drop the trailing entry, which must be zero."""
     if last(v):
         raise ValueError("R is only defined on vectors with last entry 0")
-    return RowVector(v.field, v.entries[:-1])
+    return RowVector.from_codes(v.field, v.codes[:-1])
 
 
 def R_inv(w: RowVector) -> RowVector:
     """Append a zero entry; inverse of R_map on its domain."""
-    return RowVector(w.field, w.entries + (w.field.zero,))
+    return RowVector.from_codes(w.field, w.codes + (0,))
 
 
 def _annihilates_codes(
@@ -186,7 +187,7 @@ class NiceContext:
             raise ValueError("context needs last(v) = 0")
         if len(self.a) > self.n + 1:
             raise ValueError(f"prefix length {len(self.a)} exceeds n+1 = {self.n + 1}")
-        j = max(i for i, e in enumerate(self.v.entries) if e)
+        j = max(i for i, c in enumerate(self.v.codes) if c)
         object.__setattr__(self, "j", j)
 
     @property
@@ -204,7 +205,7 @@ def _check_tuple(x: SeqTuple, ctx: NiceContext) -> None:
 def is_weakly_nice(x: SeqTuple, ctx: NiceContext) -> bool:
     """x starts with a and v annihilates its (m, n) Hankel view."""
     _check_tuple(x, ctx)
-    if x.entries[: ctx.k] != ctx.a.entries:
+    if x.codes[: ctx.k] != ctx.a.codes:
         return False
     return _annihilates_codes(ctx.field, ctx.v.codes, x.codes, ctx.n + 1)
 
@@ -212,7 +213,7 @@ def is_weakly_nice(x: SeqTuple, ctx: NiceContext) -> bool:
 def is_strongly_nice(x: SeqTuple, ctx: NiceContext) -> bool:
     """x starts with a and R(v) annihilates its (m-1, n+1) Hankel view."""
     _check_tuple(x, ctx)
-    if x.entries[: ctx.k] != ctx.a.entries:
+    if x.codes[: ctx.k] != ctx.a.codes:
         return False
     return _annihilates_codes(ctx.field, ctx.v.codes[:-1], x.codes, ctx.n + 2)
 
@@ -224,8 +225,7 @@ def alpha(y: FieldElement, x: SeqTuple, ctx: NiceContext) -> SeqTuple:
     if not is_strongly_nice(x, ctx):
         raise ValueError("alpha needs a strongly nice input tuple")
     pos = ctx.j + ctx.n + 1
-    entries = x.entries[:pos] + (y,) + x.entries[pos + 1 :]
-    return SeqTuple(ctx.field, entries)
+    return SeqTuple.from_codes(ctx.field, x.codes[:pos] + (y.code,) + x.codes[pos + 1 :])
 
 
 def beta(x: SeqTuple, ctx: NiceContext) -> tuple[FieldElement, SeqTuple]:
@@ -248,9 +248,7 @@ def beta(x: SeqTuple, ctx: NiceContext) -> tuple[FieldElement, SeqTuple]:
             acc = add(acc, mul(vi, xcodes[n + 1 + i]))
     z = mul(spec.neg_code(acc), spec.inv_code(vcodes[j]))
     pos = j + n + 1
-    y = x.entries[pos]
-    entries = x.entries[:pos] + (spec.element(z),) + x.entries[pos + 1 :]
-    return y, SeqTuple(spec, entries)
+    return x[pos], SeqTuple.from_codes(spec, xcodes[:pos] + (z,) + xcodes[pos + 1 :])
 
 
 def count_annihilators_literal(M: DenseMatrix, max_vectors: int = 10**6) -> int:
@@ -262,10 +260,7 @@ def count_annihilators_literal(M: DenseMatrix, max_vectors: int = 10**6) -> int:
     q = spec.order
     if q**M.rows > max_vectors:
         raise ValueError(f"enumeration of {q}^{M.rows} vectors exceeds {max_vectors}")
-    cols = M.cols
-    code_cols = [
-        [M.data[i * cols + j].code for i in range(M.rows)] for j in range(cols)
-    ]
+    code_cols = [M.codes[j :: M.cols] for j in range(M.cols)]
     add, mul = spec.add_code, spec.mul_code
     count = 0
     for vcodes in itertools.product(range(q), repeat=M.rows):
@@ -306,10 +301,7 @@ def sumlast_sides(
     q = field.order
     total_full = 0
     total_shaved = 0
-    free = m + n + 1 - k
-    head = a.entries
-    for tail in itertools.product(field.elements(), repeat=free):
-        x = SeqTuple(field, head + tail)
+    for x in iter_seq_tuples(field, m + n + 1, a):
         full = materialize_hankel(x, HankelShape(m, n))
         shaved = materialize_hankel(x, HankelShape(m - 1, n + 1))
         if literal:

@@ -367,6 +367,28 @@ def test_make_report_verdicts():
     assert r.verdict == "mismatch"
 
 
+def test_suite_jt_times_each_path_from_its_own_start(monkeypatch):
+    # on a fake clock the flip count takes 1 s and the direct count 2 s
+    clock = [0.0]
+    count = census.brute_count_jt_singular
+
+    def timed_count(field, u, v, cap, *, path):
+        clock[0] += 1.0 if path == "flip" else 2.0
+        return count(field, u, v, cap, path=path)
+
+    monkeypatch.setattr(census.time, "perf_counter", lambda: clock[0])
+    monkeypatch.setattr(census, "brute_count_jt_singular", timed_count)
+    reports = verify("jt", [F2], max_n=3)
+    assert len(reports) == 3 * 6
+    expected = {
+        "jt-singular-count-flip": 1.0,
+        "jt-singular-count-direct": 2.0,
+        "jt-path-agreement": 3.0,
+    }
+    assert [r.elapsed_s for r in reports] == [expected[r.check] for r in reports]
+    assert all_passed(reports)
+
+
 def test_monte_carlo_verdict_at_zero_or_all_successes():
     # the band comes from the target's variance, so p-hat in {0, 1} (and a
     # zero estimated stderr) neither fails a right answer nor passes a wrong one

@@ -8,7 +8,7 @@ import random
 import pytest
 
 import oracles
-from hankelcensus.gf import FieldSpec, ff_elements
+from hankelcensus.gf import FieldElement, FieldSpec, ff_elements
 from hankelcensus.hankel import (
     DenseMatrix,
     HankelShape,
@@ -32,6 +32,7 @@ F5 = FieldSpec(5)
 F7 = FieldSpec(7)
 F4 = FieldSpec.from_order(4)
 F9 = FieldSpec.from_order(9)
+F_BIG = FieldSpec(2**31 - 1)
 
 
 def seq(field, codes):
@@ -46,6 +47,10 @@ def test_materialize_layout():
     for i in range(3):
         for j in range(4):
             assert M.entry(i, j) == x[i + j]
+    # the same matrix built from elements is equal and hashes alike
+    built = DenseMatrix(F7, 3, 4, tuple(x[i + j] for i in range(3) for j in range(4)))
+    assert built == M and hash(built) == hash(M)
+    assert built.data == M.data and M.code_rows() == [[0, 1, 2, 3], [1, 2, 3, 4], [2, 3, 4, 5]]
 
 
 def test_materialize_degenerate_shapes():
@@ -231,6 +236,40 @@ def test_jt_matrix_validation():
     assert det(J) == F3.one
 
 
+def _jt_definition(y, idx):
+    # y_idx from the definition: index 0 reads as 1, negative indices as 0
+    field = y.field
+    return field.zero if idx < 0 else field.one if idx == 0 else y.entries[idx - 1]
+
+
+@pytest.mark.parametrize("field", [F2, F9])
+def test_jt_builders_match_definition(field):
+    rng = random.Random(5)
+    for u in range(5):
+        for v in range(5):
+            if u + v < 1:
+                continue
+            length = u + v - 1
+            if field.order**length <= 256:
+                ys = iter_seq_tuples(field, length)
+            else:
+                ys = (
+                    seq(field, [rng.randrange(field.order) for _ in range(length)])
+                    for _ in range(40)
+                )
+            for y in ys:
+                J = jt_matrix(y, u, v)
+                assert (J.rows, J.cols) == (v, v)
+                assert J.data == tuple(
+                    _jt_definition(y, u - i + j) for i in range(1, v + 1) for j in range(1, v + 1)
+                )
+                if u >= 1 and v >= 1:
+                    x = jt_to_hankel(y, u, v)
+                    assert x.entries == tuple(
+                        _jt_definition(y, u - v + 1 + t) for t in range(2 * v - 1)
+                    )
+
+
 def test_jt_to_hankel_patterns():
     y = seq(F7, [1, 2, 3, 4, 5, 6])
     x = jt_to_hankel(y, 2, 5)
@@ -319,11 +358,16 @@ def test_iter_seq_tuples():
     tuples = list(iter_seq_tuples(F3, 2))
     assert len(tuples) == 9
     assert len(set(t.codes for t in tuples)) == 9
+    assert tuples == [SeqTuple(F3, t) for t in itertools.product(ff_elements(F3), repeat=2)]
     fixed = list(iter_seq_tuples(F3, 3, seq(F3, [2])))
     assert len(fixed) == 9
     assert all(t.codes[0] == 2 for t in fixed)
     with pytest.raises(ValueError):
         list(iter_seq_tuples(F3, 1, seq(F3, [1, 2])))
+    # a full prefix on a huge field touches no element table
+    head = seq(F_BIG, [5, 2**31 - 2])
+    assert list(iter_seq_tuples(F_BIG, 2, head)) == [head]
+    assert F_BIG._elements is None
 
 
 def test_dense_matrix_validation():
@@ -341,6 +385,35 @@ def test_dense_matrix_validation():
 def test_seq_tuple_validation():
     with pytest.raises(ValueError):
         SeqTuple(F2, (F3.one,))
+    with pytest.raises(ValueError):
+        SeqTuple(F2, (F2.one, F3.one))  # mixed fields
+    with pytest.raises(ValueError):
+        RowVector(F3, (F3.one, F2.zero))
+    for cls in (SeqTuple, RowVector):
+        for field in (F2, F9, F_BIG):
+            q = field.order
+            assert cls.from_codes(field, [0, q - 1]).codes == (0, q - 1)
+            for bad in ([-1], [0, q], [q - 1, -1, 0]):
+                with pytest.raises(ValueError):
+                    cls.from_codes(field, bad)
     x = seq(F2, [1, 0])
     assert len(x) == 2 and x[0] == F2.one
     assert str(x) == "(1,0)"
+
+
+@pytest.mark.parametrize("field", [F2, F9])
+def test_code_tuples_equal_across_constructors(field):
+    codes = [c % field.order for c in (3, 0, 7, 1)]
+    elems = tuple(field.element(c) for c in codes)
+    for cls in (SeqTuple, RowVector):
+        a, b = cls(field, elems), cls.from_codes(field, codes)
+        assert a == b and hash(a) == hash(b)
+        assert a.codes == b.codes == tuple(codes)
+        assert a.entries == tuple(b) == elems
+        assert b[1:3] == elems[1:3]
+        assert all(isinstance(e, FieldElement) for e in b[1:3])
+        assert b[-1] == elems[-1]
+    # the two classes never compare equal, whatever their codes
+    assert SeqTuple.from_codes(field, codes) != RowVector.from_codes(field, codes)
+    assert SeqTuple(field, ()) != RowVector(field, ())
+    assert not RowVector.from_codes(field, [0, 0]) and RowVector.from_codes(field, [0, 1])

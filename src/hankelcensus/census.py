@@ -66,6 +66,16 @@ suite_witnesses), and the closure of the freed entry is read off the
 flags.  Tuple objects are built only for flagged tuples.  The cap is
 charged a full sweep per flag set, an upper bound on the work: one test
 per tuple for each tail-solver vector, two for each bijection vector.
+
+The identity suite computes each tuple's kernel-counting term (the ranks
+of its (m, n) and (m-1, n+1) views, turned into annihilator counts by
+rank-nullity; see ranklaw) once per (m, n), in odometer order, into one
+running sum per prefix block of the finest length min(m, n+1).  The
+tuples with a given k-prefix are consecutive, so the side for a shorter
+prefix is the sum of Q consecutive finer sums, and every prefix gets the
+side that witness.sumlast_sides returns for it.  The cap is charged
+Q^(m+n+1) per (m, n), exactly the terms computed; summing each prefix on
+its own would compute min(m, n+1)+1 times as many.
 """
 
 from __future__ import annotations
@@ -94,7 +104,7 @@ from hankelcensus.hankel import (
     jt_matrix,
     jt_to_hankel,
 )
-from hankelcensus.ranklaw import elkies_identity_sides, rank_le_fast
+from hankelcensus.ranklaw import _annihilator_term, elkies_identity_sides, rank_le_fast
 from hankelcensus.witness import (
     NiceContext,
     R_inv,
@@ -106,7 +116,6 @@ from hankelcensus.witness import (
     is_strongly_nice,
     is_weakly_nice,
     solve_tail,
-    sumlast_sides,
 )
 
 __all__ = [
@@ -846,7 +855,11 @@ def suite_identities(
     *,
     cap: int = DEFAULT_CAP,
 ) -> Iterator[CensusReport]:
-    """Instance-wise checks of the two kernel-counting identities."""
+    """Instance-wise checks of the two kernel-counting identities.
+
+    The summed identity is checked for every prefix of length k <= min(m,
+    n+1); its left side is what `witness.sumlast_sides` returns.
+    """
     q = field.order
     started = time.perf_counter()
     if max_n is not None:
@@ -877,9 +890,19 @@ def suite_identities(
     for m in range(1, m_hi + 1):
         for n in range(n2_hi + 1):
             _check_cap(q ** (m + n + 1), cap)
-            for k in range(min(m, n + 1) + 1):
-                for a in iter_seq_tuples(field, k):
-                    lhs, rhs = sumlast_sides(field, m, n, a)
+            # one running sum per finest prefix block, read base Q
+            top = min(m, n + 1)
+            width = q ** (m + n + 1 - top)
+            sums = [0] * q**top
+            for i, x in enumerate(itertools.product(range(q), repeat=m + n + 1)):
+                sums[i // width] += _annihilator_term(field, x, m, n)[2]
+            levels = [sums]  # levels[k][b]: the side of the k-prefix with value b
+            while len(levels[0]) > 1:
+                finer = levels[0]
+                levels.insert(0, [sum(finer[b : b + q]) for b in range(0, len(finer), q)])
+            for k, level in enumerate(levels):
+                rhs = (q - 1) * q ** (2 * m - k)
+                for a, lhs in zip(iter_seq_tuples(field, k), level):
                     instances += 1
                     if lhs != rhs:
                         bad += 1

@@ -210,7 +210,7 @@ class FieldSpec:
     spec can be shared freely across threads.
     """
 
-    __slots__ = ("p", "d", "modulus", "order", "_tables", "_elements")
+    __slots__ = ("p", "d", "modulus", "order", "_tables", "_elements", "_hash")
 
     def __init__(self, p: int, d: int = 1, modulus: Sequence[int] | None = None):
         if not isinstance(p, int) or not _is_prime(p):
@@ -245,6 +245,7 @@ class FieldSpec:
         object.__setattr__(self, "order", p**d)
         object.__setattr__(self, "_tables", None)
         object.__setattr__(self, "_elements", None)
+        object.__setattr__(self, "_hash", hash((p, d, self.modulus)))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("FieldSpec is immutable")
@@ -282,7 +283,7 @@ class FieldSpec:
         return self.p == other.p and self.d == other.d and self.modulus == other.modulus
 
     def __hash__(self):
-        return hash((self.p, self.d, self.modulus))
+        return self._hash
 
     def __repr__(self):
         if self.d == 1:

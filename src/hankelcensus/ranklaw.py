@@ -8,13 +8,17 @@ with s = m+n-r.  That reduction is the only speedup this package uses.
 
 The kernel-counting identity relates the rank-bound truth value to sizes
 of left kernels of the two widest shapes; both sides are exposed so the
-identity can be checked instance by instance.
+identity can be checked instance by instance.  Both kernel sizes come from
+the ranks of the two views by rank-nullity, one elimination per view, on
+the tuple's codes (`_annihilator_term`, which the summed identity shares).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
+from hankelcensus.gf import FieldSpec
 from hankelcensus.hankel import (
     DenseMatrix,
     HankelShape,
@@ -22,8 +26,6 @@ from hankelcensus.hankel import (
     _hankel_code_rows,
     _rank_codes,
     left_kernel_dim,
-    materialize_hankel,
-    rank_gauss,
 )
 
 __all__ = [
@@ -51,9 +53,8 @@ def rank_pair(x: SeqTuple, rdeg: int, cdeg: int) -> RankPair:
     n = len(x) - 1
     if rdeg + cdeg > n + 1:
         raise ValueError(f"need rdeg+cdeg <= {n + 1} for a tuple of length {len(x)}")
-    tall = materialize_hankel(x, HankelShape(rdeg, cdeg - 1))
-    wide = materialize_hankel(x, HankelShape(rdeg - 1, cdeg))
-    return RankPair(rank_gauss(tall), rank_gauss(wide))
+    tall, wide, _ = _annihilator_term(x.field, x.codes, rdeg, cdeg - 1)
+    return RankPair(tall, wide)
 
 
 def rank_le_fast(x: SeqTuple, m: int, n: int, r: int) -> bool:
@@ -87,6 +88,22 @@ def rank_via_reduction(x: SeqTuple, m: int, n: int) -> tuple[int, HankelShape]:
     return lo + 1, HankelShape(m, n)
 
 
+def _annihilator_term(
+    spec: FieldSpec, codes: Sequence[int], m: int, n: int
+) -> tuple[int, int, int]:
+    """Ranks of the (m, n) and (m-1, n+1) views of codes, and the term.
+
+    The term is the number of nonzero left-annihilators of H_{m,n} minus Q
+    times the number for H_{m-1,n+1}; a view with `rows` rows and rank r
+    has Q^(rows-r) - 1 of them.  The shapes are not checked: callers
+    validate them, and the summed identity also runs m = n+2.
+    """
+    q = spec.order
+    full = _rank_codes(spec, _hankel_code_rows(codes, m, n))
+    shaved = _rank_codes(spec, _hankel_code_rows(codes, m - 1, n + 1))
+    return full, shaved, q ** (m + 1 - full) - 1 - q * (q ** (m - shaved) - 1)
+
+
 def kernel_count_nonzero(M: DenseMatrix) -> int:
     """Number of nonzero row vectors v with v M = 0, i.e. Q^nullity - 1."""
     return M.field.order ** left_kernel_dim(M) - 1
@@ -106,9 +123,5 @@ def elkies_identity_sides(x: SeqTuple, m: int, n: int) -> tuple[int, int]:
         raise ValueError(f"identity needs m <= n+1, got m={m}, n={n}")
     if m + n > len(x) - 1:
         raise ValueError(f"need m+n <= {len(x) - 1} for this tuple")
-    q = x.field.order
-    full = materialize_hankel(x, HankelShape(m, n))
-    shaved = materialize_hankel(x, HankelShape(m - 1, n + 1))
-    lhs = (q - 1) * (1 if rank_gauss(full) <= m else 0)
-    rhs = kernel_count_nonzero(full) - q * kernel_count_nonzero(shaved)
-    return lhs, rhs
+    full, _, rhs = _annihilator_term(x.field, x.codes, m, n)
+    return (x.field.order - 1) * (full <= m), rhs

@@ -12,6 +12,9 @@ that entry for a field element.
 `solve_tail` is the complementary gadget for last(v) != 0: the tail
 entries x_m..x_{m+n} are then uniquely determined from the head by back
 substitution, so annihilating tuples with a fixed k-prefix number Q^{m-k}.
+
+`sumlast_sides` sums the kernel-counting term of ranklaw over the
+completions of a prefix, with annihilators counted through rank-nullity.
 """
 
 from __future__ import annotations
@@ -21,15 +24,8 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 
 from hankelcensus.gf import FieldElement, FieldSpec
-from hankelcensus.hankel import (
-    DenseMatrix,
-    HankelShape,
-    RowVector,
-    SeqTuple,
-    iter_seq_tuples,
-    materialize_hankel,
-)
-from hankelcensus.ranklaw import kernel_count_nonzero
+from hankelcensus.hankel import RowVector, SeqTuple
+from hankelcensus.ranklaw import _annihilator_term
 
 __all__ = [
     "NiceContext",
@@ -42,7 +38,6 @@ __all__ = [
     "alpha",
     "beta",
     "sumlast_sides",
-    "count_annihilators_literal",
 ]
 
 
@@ -251,45 +246,13 @@ def beta(x: SeqTuple, ctx: NiceContext) -> tuple[FieldElement, SeqTuple]:
     return x[pos], SeqTuple.from_codes(spec, xcodes[:pos] + (z,) + xcodes[pos + 1 :])
 
 
-def count_annihilators_literal(M: DenseMatrix, max_vectors: int = 10**6) -> int:
-    """Count nonzero v with v M = 0 by enumerating all Q^rows row vectors.
-
-    Slow roll-call oracle for cross-checking the rank-nullity count.
-    """
-    spec = M.field
-    q = spec.order
-    if q**M.rows > max_vectors:
-        raise ValueError(f"enumeration of {q}^{M.rows} vectors exceeds {max_vectors}")
-    code_cols = [M.codes[j :: M.cols] for j in range(M.cols)]
-    add, mul = spec.add_code, spec.mul_code
-    count = 0
-    for vcodes in itertools.product(range(q), repeat=M.rows):
-        if not any(vcodes):
-            continue
-        ok = True
-        for col in code_cols:
-            acc = 0
-            for vi, mij in zip(vcodes, col):
-                if vi:
-                    acc = add(acc, mul(vi, mij))
-            if acc:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
-
-
-def sumlast_sides(
-    field: FieldSpec, m: int, n: int, a: SeqTuple, *, literal: bool = False
-) -> tuple[int, int]:
+def sumlast_sides(field: FieldSpec, m: int, n: int, a: SeqTuple) -> tuple[int, int]:
     """Both sides of the summed annihilator identity for prefix a.
 
     Left side: over all x with the given k-prefix, the number of nonzero
     left-annihilators of H_{m,n}(x) minus Q times the number for
-    H_{m-1,n+1}(x).  Right side: (Q-1) Q^{2m-k}.  Annihilators are counted
-    through rank-nullity by default; literal=True enumerates row vectors
-    instead.
+    H_{m-1,n+1}(x), counted through rank-nullity.  Right side:
+    (Q-1) Q^{2m-k}.
     """
     if m < 0 or n < 0:
         raise ValueError(f"need m, n >= 0, got m={m}, n={n}")
@@ -299,17 +262,6 @@ def sumlast_sides(
     if k > m or k > n + 1:
         raise ValueError(f"need k <= m and k <= n+1, got k={k}, m={m}, n={n}")
     q = field.order
-    total_full = 0
-    total_shaved = 0
-    for x in iter_seq_tuples(field, m + n + 1, a):
-        full = materialize_hankel(x, HankelShape(m, n))
-        shaved = materialize_hankel(x, HankelShape(m - 1, n + 1))
-        if literal:
-            total_full += count_annihilators_literal(full)
-            total_shaved += count_annihilators_literal(shaved)
-        else:
-            total_full += kernel_count_nonzero(full)
-            total_shaved += kernel_count_nonzero(shaved)
-    lhs = total_full - q * total_shaved
-    rhs = (q - 1) * q ** (2 * m - k)
-    return lhs, rhs
+    tails = itertools.product(range(q), repeat=m + n + 1 - k)
+    lhs = sum(_annihilator_term(field, a.codes + tail, m, n)[2] for tail in tails)
+    return lhs, (q - 1) * q ** (2 * m - k)

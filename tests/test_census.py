@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from hankelcensus import census
+from hankelcensus import census, ranklaw
 from hankelcensus.census import (
     CapExceededError,
     CountQuery,
@@ -477,6 +477,53 @@ def test_verify_keeps_identity_report_before_the_gadget_limit():
         ("identities", "skipped"),
     ]
     assert reports[0].params["instances"] == 29 + 29**2
+
+
+def identity_sum_report(monkeypatch, faults):
+    # the annihilator-sum-identity report on GF(3) with each tuple in
+    # `faults` given a term that is off by faults[tuple]
+    real = ranklaw._annihilator_term
+
+    def faulty(spec, codes, m, n):
+        full, shaved, term = real(spec, codes, m, n)
+        return full, shaved, term + faults.get(tuple(codes), 0)
+
+    monkeypatch.setattr(census, "_annihilator_term", faulty)
+    reports = {r.check: r for r in verify("identities", [F3])}
+    assert reports["annihilator-count-identity"].verdict == "match"
+    return reports["annihilator-sum-identity"]
+
+
+def test_identity_block_sums_report_one_wrong_term(monkeypatch):
+    # one tuple's kernel-counting term off by one must fail exactly the
+    # (m, n, k, prefix) blocks that contain it, and name the k = 0 block
+    # of the first (m, n) whose tuples have its length
+    clean = identity_sum_report(monkeypatch, {})
+    assert clean.verdict == "match"
+    grid = [
+        (m, n)
+        for m in range(1, clean.params["max_m"] + 1)
+        for n in range(clean.params["max_n"] + 1)
+        if m + n + 1 == 4
+    ]
+    assert len(grid) == 3
+    m, n = grid[0]
+    rhs = 2 * 3 ** (2 * m)
+    faulted = identity_sum_report(monkeypatch, {(1, 2, 0, 1): 1})
+    assert faulted.params == {
+        **clean.params,
+        "first_violation": f"m={m} n={n} a=() sides=({rhs + 1},{rhs})",
+    }
+    assert faulted.observed_value == sum(min(m, n + 1) + 1 for m, n in grid)
+    assert faulted.verdict == "mismatch"
+    # two faults that cancel at k = 0 fail every finer block of each; the
+    # first is the 1-prefix (1), so the blocks are read by prefix, not suffix
+    faulted = identity_sum_report(monkeypatch, {(1, 2, 0, 2): 1, (2, 0, 1, 0): -1})
+    assert faulted.params == {
+        **clean.params,
+        "first_violation": f"m={m} n={n} a=(1) sides=({rhs // 3 + 1},{rhs // 3})",
+    }
+    assert faulted.observed_value == 2 * sum(min(m, n + 1) for m, n in grid)
 
 
 def test_verify_large_field_skips_exhaustive_suites():

@@ -11,7 +11,9 @@ against the minor and Leibniz oracles, which use no elimination.  The
 prefix-tree walk behind the exhaustive counts is checked against a flat
 sweep that runs one rank kernel call per tuple, on small primes in place
 of the random ones, and the sampler's lockstep elimination against one
-kernel call per view.  Runs are derandomized, so every run draws the
+kernel call per view.  Both sides of the kernel-counting identity, and the
+adjacent rank pair, are checked against eliminations on materialized
+views.  Runs are derandomized, so every run draws the
 same examples.
 """
 
@@ -33,6 +35,8 @@ from hankelcensus.gf import (
 )
 from hankelcensus.hankel import (
     DenseMatrix,
+    HankelShape,
+    SeqTuple,
     _code_op_step,
     _hankel_code_rows,
     _lockstep_kernel,
@@ -41,8 +45,10 @@ from hankelcensus.hankel import (
     _rank_kernel,
     _sub_mul_kernel,
     det,
+    materialize_hankel,
     rank_gauss,
 )
+from hankelcensus.ranklaw import RankPair, elkies_identity_sides, kernel_count_nonzero, rank_pair
 
 PROPS = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 
@@ -253,6 +259,45 @@ def linear_recurrence(spec, init, coeffs, length):
             acc = spec.add_code(acc, spec.mul_code(c, x[-i]))
         x.append(acc)
     return x[:length]
+
+
+@st.composite
+def identity_cases(draw, name):
+    """(x, m, n) with m <= n+1, where x has random entries or follows a
+    linear recurrence of order 1 to 3.  Over a large field a random x
+    almost always has full-rank views, and both identity sides are 0."""
+    spec = draw(fields(name))
+    n = draw(st.integers(0, 3))
+    m = draw(st.integers(0, n + 1))
+    codes = st.integers(0, spec.order - 1)
+    if draw(st.booleans()):
+        order = draw(st.integers(1, 3))
+        init = draw(st.lists(codes, min_size=order, max_size=order))
+        coeffs = draw(st.lists(codes, min_size=order, max_size=order))
+        x = linear_recurrence(spec, init, coeffs, m + n + 1)
+    else:
+        x = draw(st.lists(codes, min_size=m + n + 1, max_size=m + n + 1))
+    return SeqTuple.from_codes(spec, x), m, n
+
+
+@pytest.mark.parametrize("name", list(CLASSES))
+def test_identity_sides_and_rank_pair_match_dense_matrices(name):
+    # the code-row term of ranklaw against rank_gauss and
+    # kernel_count_nonzero on materialized views
+    @PROPS
+    @given(identity_cases(name))
+    def check(case):
+        x, m, n = case
+        q = x.field.order
+        full = materialize_hankel(x, HankelShape(m, n))
+        shaved = materialize_hankel(x, HankelShape(m - 1, n + 1))
+        lhs, rhs = elkies_identity_sides(x, m, n)
+        assert lhs == (q - 1) * (rank_gauss(full) <= m)
+        assert rhs == kernel_count_nonzero(full) - q * kernel_count_nonzero(shaved)
+        assert lhs == rhs
+        assert rank_pair(x, m, n + 1) == RankPair(rank_gauss(full), rank_gauss(shaved))
+
+    check()
 
 
 @st.composite

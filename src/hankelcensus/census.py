@@ -48,10 +48,8 @@ representative completion set per orbit: for each position of the first
 nonzero free entry, the block that sets it to 1 and its neighbour to 0,
 weighted q-1, and the block that sets both to 1, weighted (q-1)^2 (just
 the 1, weighted q-1, at the last position), plus the all-zero completion.
-With jobs > 1 the blocks are cut into at most `jobs` contiguous runs, one
-thread-pool task each, and recombined in block order, so results never
-depend on the level of parallelism.  The cap is charged Q^(free) before
-the walk starts, an upper bound on the tuples it visits.
+The cap is charged Q^(free) before the walk starts, an upper bound on the
+tuples it visits.
 
 The witness suite flags each tuple once per gadget vector and view, not
 once per prefix.  For every vector v it flags the tuples in odometer
@@ -83,7 +81,6 @@ from __future__ import annotations
 import itertools
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
 from functools import wraps
@@ -353,20 +350,6 @@ def rank_le_probability(query: CountQuery) -> Fraction:
 # ----------------------------------------------------------------------
 
 
-def _map_blocks(fn, blocks, jobs: int):
-    # [fn(b) for b in blocks]; with jobs > 1, one future per contiguous run
-    # of blocks, at most `jobs` of them, and results kept in block order
-    if jobs > 1 and len(blocks) > 1:
-        runs = min(jobs, len(blocks))
-        size, extra = divmod(len(blocks), runs)
-        cuts = [i * size + min(i, extra) for i in range(runs + 1)]
-        chunks = [blocks[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-        with ThreadPoolExecutor(max_workers=runs) as ex:
-            parts = ex.map(lambda chunk: [fn(b) for b in chunk], chunks)
-            return [out for part in parts for out in part]
-    return [fn(b) for b in blocks]
-
-
 def _check_cap(work: int, cap: int) -> None:
     if work > cap:
         raise CapExceededError(work, cap)
@@ -380,6 +363,45 @@ def _test_shape(m: int, n: int, r: int) -> tuple[int, int]:
     return m, n
 
 
+def _walk_blocks(
+    q: int, head: Sequence[int], free: int
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The walk's blocks of fixed first free entries, and their weights.
+
+    A head with a nonzero entry gets one block per value of the first free
+    entry, or one empty block when at most one entry is free, since the walk
+    settles the last entry in closed form.  Under an all-zero head there is
+    one block per scaling orbit, weighted by the number of completion sets
+    that share its tallies.  A block fixes len(block) free entries, so the sum of
+    weight * q^(free - len(block)) over the blocks is q^free.
+    """
+    if free and not any(head):
+        # One block per scaling orbit.  x -> c*x scales every view by c, and
+        # x_t -> b^t*x_t turns a view H into D H D' with D, D' = diag(b^i);
+        # for c, b != 0 both are bijections on the completions of a zero
+        # head that keep every rank.  Sort the nonzero completions by the
+        # first nonzero entry x_s = a, at free position j, and its
+        # neighbour x_{s+1} = a'.  (c, b) = (1/a, 1) maps class (a, 0)
+        # onto class (1, 0), and when a' != 0 the one pair b = a/a',
+        # c = 1/(a*b^s) maps class (a, a') onto class (1, 1).  So the q-1
+        # classes (a, 0) have the tallies of block (0^j, 1, 0), the
+        # (q-1)^2 classes with a' != 0 those of (0^j, 1, 1), and when x_s
+        # is the last entry the q-1 classes a those of (0^j, 1).  The
+        # all-zero completion is a block of its own, at rank 0
+        blocks, weights = [(0,) * free], [1]
+        for j in range(free):
+            if j + 1 < free:
+                blocks += [(0,) * j + (1, 0), (0,) * j + (1, 1)]
+                weights += [q - 1, (q - 1) ** 2]
+            else:
+                blocks.append((0,) * j + (1,))
+                weights.append(q - 1)
+    else:
+        blocks = [()] if free <= 1 else [(c,) for c in range(q)]
+        weights = [1] * len(blocks)
+    return blocks, weights
+
+
 def _tally_ranks(
     spec: FieldSpec,
     head: Sequence[int],
@@ -387,7 +409,6 @@ def _tally_ranks(
     shape: tuple[int, int],
     limit: int,
     cap: int,
-    jobs: int,
 ) -> list[int]:
     """Rank tallies over all completions of head by `free` entries.
 
@@ -396,10 +417,7 @@ def _tally_ranks(
 
     The tallies come from a depth-first walk over the tuple prefix tree
     that keeps an echelon basis of the view's finished columns, run once
-    per block of fixed first free entries and summed with the blocks'
-    weights: one block per value of the first free entry (one in all
-    when it is the last), or under an all-zero head one block per scaling
-    orbit (see the module docstring).
+    per block of _walk_blocks and summed with the blocks' weights.
     """
     q = spec.order
     _check_cap(q**free, cap)
@@ -480,35 +498,12 @@ def _tally_ranks(
             walk(fixed, basis)
         return tallies
 
-    if free and not any(head):
-        # One block per scaling orbit.  x -> c*x scales every view by c, and
-        # x_t -> b^t*x_t turns a view H into D H D' with D, D' = diag(b^i);
-        # for c, b != 0 both are bijections on the completions of a zero
-        # head that keep every rank.  Sort the nonzero completions by the
-        # first nonzero entry x_s = a, at free position j, and its
-        # neighbour x_{s+1} = a'.  (c, b) = (1/a, 1) maps class (a, 0)
-        # onto class (1, 0), and when a' != 0 the one pair b = a/a',
-        # c = 1/(a*b^s) maps class (a, a') onto class (1, 1).  So the q-1
-        # classes (a, 0) have the tallies of block (0^j, 1, 0), the
-        # (q-1)^2 classes with a' != 0 those of (0^j, 1, 1), and when x_s
-        # is the last entry the q-1 classes a those of (0^j, 1).  The
-        # all-zero completion is a block of its own, at rank 0
-        blocks, weights = [(0,) * free], [1]
-        for j in range(free):
-            if j + 1 < free:
-                blocks += [(0,) * j + (1, 0), (0,) * j + (1, 1)]
-                weights += [q - 1, (q - 1) ** 2]
-            else:
-                blocks.append((0,) * j + (1,))
-                weights.append(q - 1)
-    else:
-        blocks = [()] if free <= 1 else [(c,) for c in range(q)]
-        weights = [1] * len(blocks)
-    parts = _map_blocks(tally_block, blocks, jobs)
+    blocks, weights = _walk_blocks(q, head, free)
+    parts = [tally_block(b) for b in blocks]
     return [sum(w * n for w, n in zip(weights, col)) for col in zip(*parts)]
 
 
-def brute_count_rank_le(query: CountQuery, cap: int = DEFAULT_CAP, *, jobs: int = 1) -> int:
+def brute_count_rank_le(query: CountQuery, cap: int = DEFAULT_CAP) -> int:
     """Exact count of prefix completions with rank(H_{m,n}(x)) <= r.
 
     Works in any regime; the closed form only exists in the "standard"
@@ -516,7 +511,7 @@ def brute_count_rank_le(query: CountQuery, cap: int = DEFAULT_CAP, *, jobs: int 
     """
     shape = _test_shape(query.m, query.n, query.r)
     free = query.tuple_len - query.k
-    tallies = _tally_ranks(query.field, query.prefix.codes, free, shape, query.r, cap, jobs)
+    tallies = _tally_ranks(query.field, query.prefix.codes, free, shape, query.r, cap)
     return sum(tallies[: query.r + 1])
 
 
@@ -526,8 +521,6 @@ def brute_census(
     n: int,
     prefix: SeqTuple | None = None,
     cap: int = DEFAULT_CAP,
-    *,
-    jobs: int = 1,
 ) -> RankDistribution:
     """Full rank histogram over all prefix completions."""
     if m < 0 or n < 0:
@@ -541,7 +534,7 @@ def brute_census(
         raise ValueError(f"prefix length {k} exceeds tuple length {m + n + 1}")
     free = m + n + 1 - k
     max_rank = min(m, n) + 1
-    tallies = _tally_ranks(field, prefix.codes, free, (m, n), max_rank, cap, jobs)
+    tallies = _tally_ranks(field, prefix.codes, free, (m, n), max_rank, cap)
     counts = {rho: tallies[rho] for rho in range(max_rank + 1)}
     return RankDistribution(counts, field.order**free)
 
@@ -1138,7 +1131,7 @@ def suite_witnesses(
         yield _timed(name, field, params, 0, bad[name], "brute", started)
 
 
-def _prefix_family(field, m, n, r, k, formula, cap, jobs):
+def _prefix_family(field, m, n, r, k, formula, cap):
     """Brute counts over all k-prefixes; spots the first formula miss.
 
     Returns (observed, extra_params, total): observed is the common count
@@ -1148,7 +1141,7 @@ def _prefix_family(field, m, n, r, k, formula, cap, jobs):
     first_bad = None
     total = 0
     for a in iter_seq_tuples(field, k):
-        got = brute_count_rank_le(CountQuery(field, m, n, r, a), cap, jobs=jobs)
+        got = brute_count_rank_le(CountQuery(field, m, n, r, a), cap)
         total += got
         if got != formula and first_bad is None:
             first_bad = (str(a), got)
@@ -1163,7 +1156,6 @@ def suite_theorems(
     max_n: int | None = None,
     *,
     cap: int = DEFAULT_CAP,
-    jobs: int = 1,
 ) -> Iterator[CensusReport]:
     """Formula-vs-oracle sweeps for all counting laws on a small grid."""
     q = field.order
@@ -1178,9 +1170,7 @@ def suite_theorems(
                 for k in range(r + 1):
                     started = time.perf_counter()
                     formula = q ** (2 * r - k)
-                    observed, extra, total = _prefix_family(
-                        field, m, n, r, k, formula, cap, jobs
-                    )
+                    observed, extra, total = _prefix_family(field, m, n, r, k, formula, cap)
                     check = "unrestricted-count" if k == 0 else "prefix-fixed-count"
                     params = {"m": m, "n": n, "r": r, "k": k}
                     yield _timed(
@@ -1202,7 +1192,7 @@ def suite_theorems(
         for k in range(m + 1):
             started = time.perf_counter()
             formula = q ** (m + n + 1 - k)
-            observed, extra, _ = _prefix_family(field, m, n, m, k, formula, cap, jobs)
+            observed, extra, _ = _prefix_family(field, m, n, m, k, formula, cap)
             params = {"m": m, "n": n, "r": m, "k": k, **extra}
             yield _timed("full-width-count", field, params, formula, observed, "brute", started)
     # rank-exact census against the piecewise formula, branch by branch
@@ -1210,7 +1200,7 @@ def suite_theorems(
     for n in range(census_bound + 1):
         for m in range(n + 1):
             started = time.perf_counter()
-            dist = brute_census(field, m, n, None, cap, jobs=jobs)
+            dist = brute_census(field, m, n, None, cap)
             for r in range(m + 3):
                 yield _timed(
                     "rank-exact-census",
@@ -1236,7 +1226,7 @@ def suite_theorems(
         for k in range(n + 1):
             started = time.perf_counter()
             formula = count_det_zero_formula(field, n, k)
-            observed, extra, _ = _prefix_family(field, n, n, n, k, formula, cap, jobs)
+            observed, extra, _ = _prefix_family(field, n, n, n, k, formula, cap)
             params = {"n": n, "k": k, **extra}
             yield _timed("det-zero-count", field, params, formula, observed, "brute", started)
 
@@ -1292,15 +1282,15 @@ def verify(
     *,
     max_n: int | None = None,
     cap: int = DEFAULT_CAP,
-    jobs: int = 1,
 ) -> list[CensusReport]:
     """Run one suite (or "all") over the given fields.
 
     Returns one report per checked instance family.  A family with no
     instances in the grid checked nothing, so its report has verdict
-    "skipped", not "match".  A suite that hits the cap keeps the reports
-    it finished and ends with one report of verdict "skipped" instead of
-    raising.
+    "skipped", not "match", and a suite with no family in the grid gets
+    one "skipped" report of its own.  A suite that hits the cap keeps the
+    reports it finished and ends with one report of verdict "skipped"
+    instead of raising.
     """
     if max_n is not None and max_n < 0:
         raise ValueError(f"need max_n >= 0, got {max_n}")
@@ -1313,23 +1303,14 @@ def verify(
     reports: list[CensusReport] = []
     for field in fields:
         for name in names:
-            fn = _SUITE_FUNCS[name]
-            # only the theorem suite enumerates through the sliced engine
-            extra = {"jobs": jobs} if name == "theorems" else {}
             try:
-                reports.extend(map(_skip_if_empty, fn(field, max_n, cap=cap, **extra)))
+                done = _SUITE_FUNCS[name](field, max_n, cap=cap)
+                reason = None if done else "no instance in the grid"
             except CapExceededError as exc:
-                reports.extend(map(_skip_if_empty, exc.reports))
+                done, reason = exc.reports, str(exc)
+            reports.extend(map(_skip_if_empty, done))
+            if reason is not None:
                 reports.append(
-                    CensusReport(
-                        name,
-                        field,
-                        {"reason": str(exc)},
-                        "brute",
-                        None,
-                        None,
-                        "skipped",
-                        0.0,
-                    )
+                    CensusReport(name, field, {"reason": reason}, "brute", None, None, "skipped", 0.0)
                 )
     return reports

@@ -2,7 +2,7 @@
 
 Commands: rank, count, census, jt, verify, sample.  Output goes to stdout
 (or --output) as text, JSON, or CSV; progress and timing notes go to
-stderr so that reports are byte-identical for any --jobs value.
+stderr so that reports are byte-identical from run to run.
 
 Exit codes: 0 success / match, 1 verification mismatch, 2 usage or parse
 error, 3 enumeration cap exceeded.  The cap, 10^7 by default, is charged
@@ -213,7 +213,7 @@ def _cmd_count(args) -> int:
         formula = count_rank_le_formula(query)
         lines.append(f"formula: {formula}")
     if args.mode in ("brute", "both"):
-        observed = brute_count_rank_le(query, args.cap, jobs=args.jobs)
+        observed = brute_count_rank_le(query, args.cap)
         lines.append(f"brute: {observed}")
     verdict = None
     if args.mode == "both":
@@ -231,7 +231,7 @@ def _cmd_census(args) -> int:
     started = time.perf_counter()
     field = parse_field(args.field)
     prefix = _parse_tuple(field, args.prefix)
-    dist = brute_census(field, args.m, args.n, prefix, args.cap, jobs=args.jobs)
+    dist = brute_census(field, args.m, args.n, prefix, args.cap)
     k = len(prefix)
     # the closed form for exact ranks has no prefix; compare only when k = 0,
     # swapping degrees if needed since rank is transpose-invariant
@@ -341,7 +341,7 @@ _VERDICT_WORD = {
 def _cmd_verify(args) -> int:
     started = time.perf_counter()
     fields = [parse_field(part) for part in args.field.split(",")]
-    reports = verify(args.suite, fields, max_n=args.max_n, cap=args.cap, jobs=args.jobs)
+    reports = verify(args.suite, fields, max_n=args.max_n, cap=args.cap)
     elapsed = time.perf_counter() - started
     failures = sum(1 for r in reports if r.verdict == "mismatch")
     if args.format == "json":
@@ -404,10 +404,7 @@ def _cmd_sample(args) -> int:
 # ----------------------------------------------------------------------
 
 
-_JOBS_HELP = (
-    "enumeration slices run on this many threads; under CPython's GIL they "
-    "give no speedup (default: 1)"
-)
+_JOBS_HELP = "accepted and ignored: enumeration runs on one thread (must be >= 1)"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -417,14 +414,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, formats=("text", "json"), cap=False, jobs=False):
+    def common(p, *, formats=("text", "json"), cap=False):
         p.add_argument("--field", required=True, help="field spec: Q or p^d:c0,...,cd")
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--output", default="-", help="output path (default stdout)")
         if cap:
             p.add_argument("--cap", type=int, default=None, help="enumeration cap (default 10^7 or HANKEL_CENSUS_CAP)")
-        if jobs:
-            p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
 
     p = sub.add_parser("rank", help="rank of a Hankel matrix from explicit entries")
     common(p)
@@ -434,7 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_rank)
 
     p = sub.add_parser("count", help="count prefix completions with rank <= r")
-    common(p, cap=True, jobs=True)
+    common(p, cap=True)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
@@ -445,7 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_count)
 
     p = sub.add_parser("census", help="full rank histogram over prefix completions")
-    common(p, formats=("text", "json", "csv"), cap=True, jobs=True)
+    common(p, formats=("text", "json", "csv"), cap=True)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--prefix", default="")

@@ -346,6 +346,8 @@ def test_c12_monte_carlo_large_field():
 
 
 def test_c13_parallel_determinism():
+    # the CLI accepts --jobs and ignores it, since enumeration runs on one
+    # thread; the flag must still leave every stdout byte as it is
     runs = {}
     for jobs in ("1", "4"):
         proc = subprocess.run(

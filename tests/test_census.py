@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -26,7 +25,7 @@ from hankelcensus.census import (
     target_stderr,
     verify,
 )
-from hankelcensus.census import _GOLDEN, _draw_codes, _map_blocks, _mix64, _test_shape
+from hankelcensus.census import _GOLDEN, _draw_codes, _mix64, _test_shape
 from hankelcensus.gf import FieldSpec
 from hankelcensus.hankel import SeqTuple, _hankel_code_rows, _rank_kernel, iter_seq_tuples
 
@@ -141,52 +140,16 @@ def test_partition_by_first_free_entry():
     assert total == sliced
 
 
-def test_jobs_do_not_change_counts():
-    # jobs > 1 cuts the walk's blocks into contiguous runs: fewer runs than
-    # blocks, as many, and more jobs than blocks.  A head with a nonzero
-    # entry has q blocks, one per value of the first free entry; an
-    # all-zero head, the empty one too, has 2*free, one per scaling orbit
-    # (a nonzero head with one free entry has a single block)
-    for field in (F3, FieldSpec(5), FieldSpec.from_order(9)):
-        for codes in ((), (0,), (0, 0), (1,), (0, 2)):
-            prefix = seq(field, codes)
-            for length, run in (
-                (6, lambda jobs: brute_count_rank_le(CountQuery(field, 2, 3, 2, prefix), jobs=jobs)),
-                (5, lambda jobs: brute_census(field, 2, 2, prefix, jobs=jobs)),
-            ):
-                blocks = field.order if any(codes) else 2 * (length - len(codes))
-                expected = run(1)
-                for jobs in (2, 3, 4, blocks, blocks + 2):
-                    assert run(jobs) == expected
-
-
 def test_nonzero_head_with_one_free_entry_walks_one_block():
     # the walk settles the last entry in closed form, so such a head needs
     # one block, not one per value of that entry: above 2^16 each of q
     # blocks pays for a polynomial inverse, minutes of work in all
     field = FieldSpec(2, 17, [1, 0, 0, 1] + [0] * 13 + [1])
     t = field.element([0, 1])
-    for jobs in (1, 3):
-        dist = brute_census(field, 0, 1, SeqTuple(field, (t,)), jobs=jobs)
-        assert dist.sorted_items() == [(0, 0), (1, 2**17)]
-        dist = brute_census(field, 1, 1, SeqTuple(field, (t, field.one)), jobs=jobs)
-        assert dist.sorted_items() == [(0, 0), (1, 1), (2, 2**17 - 1)]
-
-
-def test_map_blocks_submits_at_most_jobs_futures(monkeypatch):
-    submitted = []
-
-    class CountingPool(ThreadPoolExecutor):
-        def submit(self, fn, *args, **kwargs):
-            submitted.append(fn)
-            return super().submit(fn, *args, **kwargs)
-
-    monkeypatch.setattr(census, "ThreadPoolExecutor", CountingPool)
-    blocks = list(range(7))
-    for jobs in (1, 2, 3, 7, 10):
-        submitted.clear()
-        assert _map_blocks(lambda b: b * b, blocks, jobs) == [b * b for b in blocks]
-        assert len(submitted) == (0 if jobs == 1 else min(jobs, len(blocks)))
+    dist = brute_census(field, 0, 1, SeqTuple(field, (t,)))
+    assert dist.sorted_items() == [(0, 0), (1, 2**17)]
+    dist = brute_census(field, 1, 1, SeqTuple(field, (t, field.one)))
+    assert dist.sorted_items() == [(0, 0), (1, 1), (2, 2**17 - 1)]
 
 
 def test_brute_census_values():
@@ -439,9 +402,9 @@ def test_verify_rejects_negative_max_n():
 def test_prefix_family_names_first_failure():
     from hankelcensus.census import _prefix_family
 
-    observed, extra, total = _prefix_family(F2, 2, 3, 1, 1, formula=999, cap=10**7, jobs=1)
+    observed, extra, total = _prefix_family(F2, 2, 3, 1, 1, formula=999, cap=10**7)
     assert observed == 2 and extra == {"prefix": "(0)"} and total == 4
-    observed, extra, total = _prefix_family(F2, 2, 3, 1, 1, formula=2, cap=10**7, jobs=1)
+    observed, extra, total = _prefix_family(F2, 2, 3, 1, 1, formula=2, cap=10**7)
     assert observed == 2 and extra == {} and total == 4
 
 

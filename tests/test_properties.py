@@ -10,7 +10,8 @@ every pair of every built-in extension field; rank and determinant
 against the minor and Leibniz oracles, which use no elimination.  The
 prefix-tree walk behind the exhaustive counts is checked against a flat
 sweep that runs one rank kernel call per tuple, on small primes in place
-of the random ones, and the sampler's lockstep elimination against one
+of the random ones, and its blocks, at every field size, to cover each
+completion once; the sampler's lockstep elimination is checked against one
 kernel call per view.  Both sides of the kernel-counting identity, and the
 adjacent rank pair, are checked against eliminations on materialized
 views.  Runs are derandomized, so every run draws the
@@ -25,7 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from hankelcensus.census import _tally_ranks, _test_shape
+from hankelcensus.census import _tally_ranks, _test_shape, _walk_blocks
 from hankelcensus.gf import (
     _TABLE_LIMIT,
     BUILTIN_ORDERS,
@@ -461,7 +462,24 @@ def test_walk_matches_flat_sweep(name):
         # the rank-bound view with limit r, and the census view
         for shape, limit in ((_test_shape(m, n, r), r), ((m, n), min(m, n) + 1)):
             expected = flat_tallies(spec, head, free, shape, limit)
-            for jobs in (1, 3):
-                assert _tally_ranks(spec, head, free, shape, limit, 10**9, jobs) == expected
+            assert _tally_ranks(spec, head, free, shape, limit, 10**9) == expected
 
     check()
+
+
+@pytest.mark.parametrize("name", list(CLASSES))
+def test_walk_blocks_cover_every_completion_once(name):
+    # the blocks need only q, so every order of the class is checked, past
+    # the flat sweep's reach; a nonzero head gets q blocks, so the primes
+    # stay near the other classes' orders.  Block counts are left free
+    orders = (2, 3, 101, 2**16 + 1, 2**17 - 1) if name == "prime" else [
+        p**d for p, d in CLASSES[name]
+    ]
+    for q in orders:
+        for head in ([], [0, 0], [0, q - 1]):
+            for free in range(9):
+                blocks, weights = _walk_blocks(q, head, free)
+                assert len(blocks) == len(weights)
+                assert all(len(block) <= free for block in blocks)
+                size = [q ** (free - i) for i in range(free + 1)]
+                assert sum(w * size[len(b)] for b, w in zip(blocks, weights)) == q**free

@@ -37,17 +37,19 @@ r0 is a multiple of re, and none otherwise (when re = 0, r0 is never 0 on
 a Hankel view, so none keeps it).  Whole subtrees are tallied without
 being visited, exactly: once the rank exceeds the limit asked for, or
 reaches nrows, every completion has that rank.  The last entry is never
-enumerated.  A fixed prefix goes into the basis before the walk starts.
+enumerated.  Fixed entries are walked as one-value entries, so the
+Jacobi-Trudi flip count is a prefix-fixed walk too.
 
-The walk is split into blocks that fix the first few free entries.  A
-head with a nonzero entry gets one block per value of the first free
-entry, or one block in all when that entry is the last, which the walk
-settles in closed form.  Under an all-zero head the counts are the same
-on every orbit of x -> c*x and x_t -> b^t*x_t, so the walk visits one
-representative completion set per orbit: for each position of the first
-nonzero free entry, the block that sets it to 1 and its neighbour to 0,
-weighted q-1, and the block that sets both to 1, weighted (q-1)^2 (just
-the 1, weighted q-1, at the last position), plus the all-zero completion.
+The walk is split into blocks that fix the first few free entries, and
+_walk_block walks each as a longer head.  A head with a nonzero entry gets
+one block per value of the first free entry, or one block in all when that
+entry is the last, which the walk settles in closed form.  Under an
+all-zero head the counts are the same on every orbit of x -> c*x and
+x_t -> b^t*x_t, so the walk visits one representative completion set per
+orbit: for each position of the first nonzero free entry, the block that
+sets it to 1 and its neighbour to 0, weighted q-1, and the block that sets
+both to 1, weighted (q-1)^2 (just the 1, weighted q-1, at the last
+position), plus the all-zero completion.
 The cap is charged Q^(free) before the walk starts, an upper bound on the
 tuples it visits.
 
@@ -93,15 +95,13 @@ from hankelcensus.hankel import (
     SeqTuple,
     _hankel_code_rows,
     _lockstep_kernel,
-    _rank_codes,
     _rank_kernel,
     _sub_mul_kernel,
     det,
     iter_seq_tuples,
     jt_matrix,
-    jt_to_hankel,
 )
-from hankelcensus.ranklaw import _annihilator_term, elkies_identity_sides, rank_le_fast
+from hankelcensus.ranklaw import _annihilator_term, rank_le_fast
 from hankelcensus.witness import (
     NiceContext,
     R_inv,
@@ -402,6 +402,84 @@ def _walk_blocks(
     return blocks, weights
 
 
+def _walk_block(
+    spec: FieldSpec,
+    head: Sequence[int],
+    free: int,
+    shape: tuple[int, int],
+    limit: int,
+) -> list[int]:
+    """Rank tallies over all completions of head by `free` entries, in one walk.
+
+    tallies[rho] counts completions whose (rdeg, cdeg) = shape view has
+    rank rho; ranks above limit land in tallies[limit + 1].
+
+    The walk goes depth first over the tuple prefix tree, keeps an echelon
+    basis of the view's finished columns, and gives each head entry one value.
+    """
+    q = spec.order
+    # rank is transpose-invariant: walk the orientation with shorter columns
+    nrows, ncols = sorted((shape[0] + 1, shape[1] + 1))
+    limit = min(limit, nrows)
+    stop = min(limit + 1, nrows)  # a rank that settles every completion
+    last = nrows + ncols - 2  # index of the last entry
+    fixed = len(head)
+    sub_mul = _sub_mul_kernel(spec)
+    mul, inv, neg = spec.mul_code, spec.inv_code, spec.neg_code
+    zero = [0] * nrows
+    unit = zero[1:] + [1]
+    tallies = [0] * (limit + 2)
+    x = list(head) + [0] * free
+
+    def walk(t: int, basis: list) -> None:
+        # x[:t] is set and rank = len(basis) < stop; x_t completes column
+        # t - nrows + 1, whose residual for x_t = y is r0 + y*re
+        rank = len(basis)
+        values = (head[t],) if t < fixed else range(q)
+        if t < nrows - 1:
+            for y in values:
+                x[t] = y
+                walk(t + 1, basis)
+            return
+        x[t] = 0
+        r0 = x[t - nrows + 1 : t + 1]
+        # basis vectors are 1 at their pivot and 0 at earlier pivots
+        for piv, b in basis:
+            if r0[piv]:
+                r0 = sub_mul(r0, r0[piv], b)
+        # Pivots sit at first nonzero entries, so re is e_last itself, or
+        # 0 once e_last is in the basis.  Either way r0 + y*re is 0 at
+        # the one y = -r0[-1] if r0 vanishes off its last entry, and at
+        # no y otherwise.  For re = 0 that needs r0 != 0: were e_last and
+        # the column at y = 0 both in the span, each annihilator (u', 0)
+        # of the span would give another, (0, u'), and there would be
+        # more than nrows - rank independent ones
+        re = zero if any(piv == nrows - 1 for piv, _ in basis) else unit
+        keep = [] if any(r0[:-1]) else [neg(r0[-1])]
+        if t < fixed:
+            keep = [y for y in keep if y in values]
+        raised = len(values) - len(keep)
+        if t == last:
+            tallies[rank] += len(keep)
+            tallies[rank + 1] += raised
+            return
+        if rank + 1 == stop:  # each raising value settles its subtree
+            tallies[stop] += raised * q ** (last + 1 - max(t + 1, fixed))
+            values = keep
+        for y in values:
+            x[t] = y
+            if y in keep:
+                walk(t + 1, basis)
+            else:
+                v = sub_mul(r0, neg(y), re)
+                piv = next(i for i, c in enumerate(v) if c)
+                s = inv(v[piv])
+                walk(t + 1, basis + [(piv, [mul(s, c) for c in v])])
+
+    walk(0, [])
+    return tallies
+
+
 def _tally_ranks(
     spec: FieldSpec,
     head: Sequence[int],
@@ -410,96 +488,14 @@ def _tally_ranks(
     limit: int,
     cap: int,
 ) -> list[int]:
-    """Rank tallies over all completions of head by `free` entries.
+    """Weighted sum of the _walk_block tallies over the blocks of _walk_blocks.
 
-    tallies[rho] counts completions whose (rdeg, cdeg) = shape view has
-    rank rho; ranks above limit land in tallies[limit + 1].
-
-    The tallies come from a depth-first walk over the tuple prefix tree
-    that keeps an echelon basis of the view's finished columns, run once
-    per block of _walk_blocks and summed with the blocks' weights.
+    Each block is walked as a longer head.  The cap is charged Q^(free).
     """
-    q = spec.order
-    _check_cap(q**free, cap)
-    # rank is transpose-invariant: walk the orientation with shorter columns
-    nrows, ncols = sorted((shape[0] + 1, shape[1] + 1))
-    limit = min(limit, nrows)
-    stop = min(limit + 1, nrows)  # a rank that settles every completion
-    last = nrows + ncols - 2  # index of the last entry
-    sub_mul = _sub_mul_kernel(spec)
-    mul, inv, neg = spec.mul_code, spec.inv_code, spec.neg_code
-    zero = [0] * nrows
-    unit = zero[1:] + [1]
-
-    def reduce(v: list[int], basis: list) -> list[int]:
-        # basis vectors are 1 at their pivot and 0 at earlier pivots
-        for piv, b in basis:
-            if v[piv]:
-                v = sub_mul(v, v[piv], b)
-        return v
-
-    def push(basis: list, v: list[int]) -> list:
-        piv = next(i for i, c in enumerate(v) if c)
-        s = inv(v[piv])
-        return basis + [(piv, [mul(s, c) for c in v])]
-
-    def tally_block(first: tuple[int, ...]) -> list[int]:
-        tallies = [0] * (limit + 2)
-        x = list(head) + list(first) + [0] * (free - len(first))
-
-        def walk(t: int, basis: list) -> None:
-            # x[:t] is set and rank = len(basis) < stop; x_t completes column
-            # t - nrows + 1, whose residual for x_t = y is r0 + y*re
-            rank = len(basis)
-            if t < nrows - 1:
-                for y in range(q):
-                    x[t] = y
-                    walk(t + 1, basis)
-                return
-            x[t] = 0
-            r0 = reduce(x[t - nrows + 1 : t + 1], basis)
-            # Pivots sit at first nonzero entries, so re is e_last itself, or
-            # 0 once e_last is in the basis.  Either way r0 + y*re is 0 at
-            # the one y = -r0[-1] if r0 vanishes off its last entry, and at
-            # no y otherwise.  For re = 0 that needs r0 != 0: were e_last and
-            # the column at y = 0 both in the span, each annihilator (u', 0)
-            # of the span would give another, (0, u'), and there would be
-            # more than nrows - rank independent ones
-            re = zero if any(piv == nrows - 1 for piv, _ in basis) else unit
-            keep = [] if any(r0[:-1]) else [neg(r0[-1])]
-            raised = q - len(keep)
-            if t == last:
-                tallies[rank] += len(keep)
-                tallies[rank + 1] += raised
-                return
-            values = range(q)
-            if rank + 1 == stop:  # each raising value settles its subtree
-                tallies[stop] += raised * q ** (last - t)
-                values = keep
-            for y in values:
-                x[t] = y
-                if y in keep:
-                    walk(t + 1, basis)
-                else:
-                    walk(t + 1, push(basis, sub_mul(r0, neg(y), re)))
-
-        fixed = len(head) + len(first)
-        basis: list = []
-        for t in range(nrows - 1, fixed):
-            v = reduce(x[t - nrows + 1 : t + 1], basis)
-            if any(v):
-                basis = push(basis, v)
-                if len(basis) == stop:
-                    tallies[stop] += q ** (last + 1 - fixed)
-                    return tallies
-        if fixed > last:
-            tallies[len(basis)] += 1
-        else:
-            walk(fixed, basis)
-        return tallies
-
-    blocks, weights = _walk_blocks(q, head, free)
-    parts = [tally_block(b) for b in blocks]
+    _check_cap(spec.order**free, cap)
+    blocks, weights = _walk_blocks(spec.order, head, free)
+    head = tuple(head)
+    parts = [_walk_block(spec, head + b, free - len(b), shape, limit) for b in blocks]
     return [sum(w * n for w, n in zip(weights, col)) for col in zip(*parts)]
 
 
@@ -549,10 +545,12 @@ def brute_count_jt_singular(
 ) -> int:
     """Count tuples with singular Jacobi-Trudi matrix, exhaustively.
 
-    path="flip" (default) runs each tuple through the upside-down Hankel
-    reduction and tests det = 0 as a rank bound on the (v-1, v-1) view;
-    path="direct" evaluates the determinant of the Jacobi-Trudi matrix
-    itself.  The two routes must agree instance-wise.
+    path="flip" (default) walks the upside-down Hankel reduction x_t =
+    y_(u-v+1+t), y_0 = 1, as the rank bound v-1 on the (v-1, v-1) view: the
+    head is v-u-1 zeros and a 1 for u < v; for u >= v it is empty and
+    y_1 .. y_(u-v) are unused, a factor Q^(u-v).  path="direct" takes the
+    determinant of every tuple's Jacobi-Trudi matrix, the independent route.
+    Either path charges the cap Q^(u+v-1).
     """
     if u < 1 or v < 1:
         raise ValueError(f"need u >= 1 and v >= 1, got u={u}, v={v}")
@@ -560,18 +558,12 @@ def brute_count_jt_singular(
         raise ValueError(f"unknown path {path!r}")
     q = field.order
     _check_cap(q ** (u + v - 1), cap)
-    count = 0
+    if path == "flip":
+        head = (0,) * (v - u - 1) + (1,) if u < v else ()
+        tallies = _tally_ranks(field, head, 2 * v - 1 - len(head), (v - 1, v - 1), v - 1, cap)
+        return sum(tallies[:v]) * q ** max(u - v, 0)
     zero = field.zero
-    for y in iter_seq_tuples(field, u + v - 1):
-        if path == "flip":
-            x = jt_to_hankel(y, u, v)
-            rows = _hankel_code_rows(x.codes, v - 1, v - 1)
-            if _rank_codes(field, rows, v - 1) <= v - 1:
-                count += 1
-        else:
-            if det(jt_matrix(y, u, v)) == zero:
-                count += 1
-    return count
+    return sum(det(jt_matrix(y, u, v)) == zero for y in iter_seq_tuples(field, u + v - 1))
 
 
 # ----------------------------------------------------------------------
@@ -865,12 +857,13 @@ def suite_identities(
     for n in range(n_hi + 1):
         for m in range(n + 2):
             _check_cap(q ** (m + n + 1), cap)
-            for x in iter_seq_tuples(field, m + n + 1):
-                lhs, rhs = elkies_identity_sides(x, m, n)
+            for x in itertools.product(range(q), repeat=m + n + 1):
+                full, _, rhs = _annihilator_term(field, x, m, n)
+                lhs = (q - 1) * (full <= m)
                 instances += 1
                 if lhs != rhs:
                     bad += 1
-                    first = first or f"m={m} n={n} x={x.codes} sides=({lhs},{rhs})"
+                    first = first or f"m={m} n={n} x={x} sides=({lhs},{rhs})"
     params = {"max_n": n_hi, "instances": instances, "unit": "violations"}
     if first:
         params["first_violation"] = first

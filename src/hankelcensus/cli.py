@@ -7,8 +7,9 @@ stderr so that reports are byte-identical from run to run.
 Exit codes: 0 success / match, 1 verification mismatch, 2 usage or parse
 error, 3 enumeration cap exceeded.  The cap, 10^7 by default, is charged
 before any work starts: Q^(free) for a count or census with `free` open
-entries, and the size of each tuple sweep for the verify suites.  It can
-be overridden with --cap or the HANKEL_CENSUS_CAP variable.
+entries, Q^(u+v-1) for a jt count on either path, and the size of each
+tuple sweep for the verify suites.  It can be overridden with --cap or the
+HANKEL_CENSUS_CAP variable.
 
 JSON records carry a fixed schema (field "schema": 1); exact counts are
 serialized as decimal strings because they outgrow doubles quickly.

@@ -176,18 +176,32 @@ def test_cap_errors():
     assert info.value.required == 2**41
     with pytest.raises(CapExceededError):
         brute_census(F2, 20, 20, cap=1000)
-    with pytest.raises(CapExceededError):
-        brute_count_jt_singular(F2, 20, 21, cap=1000)
+    for path in ("flip", "direct"):
+        with pytest.raises(CapExceededError) as info:
+            brute_count_jt_singular(F2, 20, 21, cap=1000, path=path)
+        assert info.value.required == 2**40
 
 
 def test_jt_paths_agree():
-    for field in (F2, F3):
-        for total in range(1, 5):
+    # u + v <= 5 over the primes, u + v <= 4 over GF(4) and GF(9)
+    grid = [(F2, 4), (F3, 4)] + [(FieldSpec.from_order(q), 3) for q in (4, 9)]
+    for field, most in grid:
+        for total in range(1, most + 1):
             for u in range(1, total + 1):
                 v = total + 1 - u
                 flip = brute_count_jt_singular(field, u, v, path="flip")
                 direct = brute_count_jt_singular(field, u, v, path="direct")
                 assert flip == direct == count_jt_singular_formula(field, u, v)
+    # a field with log tables: one shape, where the direct path is cheap
+    table = FieldSpec(2, 11, [1, 0, 1] + [0] * 8 + [1])
+    flip = brute_count_jt_singular(table, 1, 1, path="flip")
+    assert flip == brute_count_jt_singular(table, 1, 1, path="direct") == 1
+    # above 2^16 the direct path takes seconds per shape; u >= v covers the
+    # factor Q^(u-v) for the entries the flip leaves unused
+    big = FieldSpec(2, 17, [1, 0, 0, 1] + [0] * 13 + [1])
+    for u, v in ((1, 1), (2, 1), (3, 1)):
+        flip = brute_count_jt_singular(big, u, v, cap=big.order ** (u + v - 1))
+        assert flip == count_jt_singular_formula(big, u, v)
     with pytest.raises(ValueError):
         brute_count_jt_singular(F2, 0, 2)
     with pytest.raises(ValueError):
@@ -453,7 +467,13 @@ def identity_sum_report(monkeypatch, faults):
 
     monkeypatch.setattr(census, "_annihilator_term", faulty)
     reports = {r.check: r for r in verify("identities", [F3])}
-    assert reports["annihilator-count-identity"].verdict == "match"
+    # the count family shares the term, so it fails exactly when a faulted
+    # tuple has the length of one of its (m, n) with m <= n+1
+    count = reports["annihilator-count-identity"]
+    n_hi = count.params["max_n"]
+    lengths = {m + n + 1 for n in range(n_hi + 1) for m in range(n + 2)}
+    faulted = any(len(x) in lengths for x in faults)
+    assert count.verdict == ("mismatch" if faulted else "match")
     return reports["annihilator-sum-identity"]
 
 

@@ -11,7 +11,9 @@ against the minor and Leibniz oracles, which use no elimination.  The
 prefix-tree walk behind the exhaustive counts is checked against a flat
 sweep that runs one rank kernel call per tuple, on small primes in place
 of the random ones, and its blocks, at every field size, to cover each
-completion once; the sampler's lockstep elimination is checked against one
+completion once.  In the table class, where the flat sweep reaches one
+free entry only, the orbit blocks of two free entries are checked against
+one unsplit walk.  The sampler's lockstep elimination is checked against one
 kernel call per view.  Both sides of the kernel-counting identity, and the
 adjacent rank pair, are checked against eliminations on materialized
 views.  Runs are derandomized, so every run draws the
@@ -26,7 +28,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from hankelcensus.census import _tally_ranks, _test_shape, _walk_blocks
+from hankelcensus.census import _tally_ranks, _test_shape, _walk_block, _walk_blocks
 from hankelcensus.gf import (
     _TABLE_LIMIT,
     BUILTIN_ORDERS,
@@ -73,10 +75,15 @@ def fields(draw, name):
             n -= 1
         return FieldSpec(n)
     p, d = choice
-    start = draw(st.integers(0, p**d - 1))
-    # the first irreducible monic modulus at or after a random one
-    for step in itertools.count():
-        low = start + step
+    return first_irreducible(p, d, draw(st.integers(0, p**d - 1)))
+
+
+def first_irreducible(p, d, start=0):
+    """GF(p^d) by the first irreducible monic modulus at or after start.
+
+    A modulus is read by its low coefficients as a base-p number.
+    """
+    for low in itertools.count(start):
         modulus = [(low // p**i) % p for i in range(d)] + [1]
         if modulus[0] and _is_irreducible(modulus, p):
             return FieldSpec(p, d, modulus)
@@ -463,8 +470,25 @@ def test_walk_matches_flat_sweep(name):
         for shape, limit in ((_test_shape(m, n, r), r), ((m, n), min(m, n) + 1)):
             expected = flat_tallies(spec, head, free, shape, limit)
             assert _tally_ranks(spec, head, free, shape, limit, 10**9) == expected
+            assert _walk_block(spec, head, free, shape, limit) == expected
 
     check()
+
+
+@pytest.mark.parametrize("p, d", CLASSES["table"])
+def test_orbit_blocks_match_one_unsplit_walk(p, d):
+    # past the flat sweep's reach: two free entries under a zero head run
+    # the (1, 0), (1, 1) and (0, 1) orbit blocks, whose weighted sum must
+    # equal the walk of the whole completion set as one block
+    spec = first_irreducible(p, d)
+    for m, n in ((1, 2), (2, 2), (2, 3)):
+        head = [0] * (m + n - 1)
+        views = [((m, n), min(m, n) + 1)]
+        views += [(_test_shape(m, n, r), r) for r in range(min(m, n) + 1)]
+        for shape, limit in views:
+            whole = _walk_block(spec, head, 2, shape, limit)
+            assert _tally_ranks(spec, head, 2, shape, limit, 10**9) == whole
+            assert sum(whole) == spec.order**2
 
 
 @pytest.mark.parametrize("name", list(CLASSES))

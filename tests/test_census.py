@@ -27,7 +27,13 @@ from hankelcensus.census import (
 )
 from hankelcensus.census import _GOLDEN, _draw_codes, _mix64, _test_shape
 from hankelcensus.gf import FieldSpec
-from hankelcensus.hankel import SeqTuple, _hankel_code_rows, _rank_kernel, iter_seq_tuples
+from hankelcensus.hankel import (
+    RowVector,
+    SeqTuple,
+    _hankel_code_rows,
+    _rank_kernel,
+    iter_seq_tuples,
+)
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -507,6 +513,64 @@ def test_identity_block_sums_report_one_wrong_term(monkeypatch):
         "first_violation": f"m={m} n={n} a=(1) sides=({rhs // 3 + 1},{rhs // 3})",
     }
     assert faulted.observed_value == 2 * sum(min(m, n + 1) for m, n in grid)
+
+
+def faulted_reports(monkeypatch, suite, max_n, name, wrong):
+    # the suite's reports on GF(2), clean and with census.<name> replaced by
+    # wrong(real, *args); every family but `changed` must be unchanged
+    clean = {r.check: r for r in verify(suite, [F2], max_n=max_n)}
+    real = getattr(census, name)
+    monkeypatch.setattr(census, name, lambda *args: wrong(real, *args))
+    faulted = {r.check: r for r in verify(suite, [F2], max_n=max_n)}
+    assert list(faulted) == list(clean)
+    assert all(r.verdict == "match" for r in clean.values())
+    return clean, faulted
+
+
+def assert_one_violation(clean, faulted, changed, where):
+    for check, report in faulted.items():
+        if check in changed:
+            assert report.verdict == "mismatch" and report.observed_value == 1
+            assert report.params == {**clean[check].params, "first_violation": where}
+        else:
+            assert (report.verdict, report.params) == ("match", clean[check].params)
+
+
+def test_rank_bound_reduction_reports_one_wrong_test(monkeypatch):
+    def wrong(real, x, m, n, r):
+        got = real(x, m, n, r)
+        return not got if (x.codes, m, n, r) == ((1, 1, 0), 1, 1, 0) else got
+
+    clean, faulted = faulted_reports(monkeypatch, "lemmas", 2, "rank_le_fast", wrong)
+    assert_one_violation(clean, faulted, {"rank-bound-reduction"}, "m=1 n=1 r=0 x=(1, 1, 0)")
+
+
+def test_adjacent_rank_reports_one_wrong_view(monkeypatch):
+    # the (0, 2) view of x = (1, 0, 0) given rank 2: it is the wide view of
+    # shape (1, 2), whose tall view [[1, 0], [0, 0]] has rank 1, so exactly
+    # wide-le-tall and equal fail there; as the tall view of shape (0, 3) it
+    # is saturated and still passes, and rank <= 0 stays false for the
+    # reduction
+    def wrong(real, spec):
+        kern = real(spec)
+
+        def faulty(rows, limit):
+            return 2 if rows == [[1, 0, 0]] else kern(rows, limit)
+
+        return faulty
+
+    clean, faulted = faulted_reports(monkeypatch, "lemmas", 2, "_rank_kernel", wrong)
+    changed = {"adjacent-rank/wide-le-tall", "adjacent-rank/equal"}
+    assert_one_violation(clean, faulted, changed, "shape=(1,2) x=(1, 0, 0)")
+
+
+def test_truncation_bijection_reports_one_wrong_inverse(monkeypatch):
+    def wrong(real, w):
+        v = real(w)
+        return RowVector.from_codes(F2, w.codes + (1,)) if w.codes == (1, 0) else v
+
+    clean, faulted = faulted_reports(monkeypatch, "witnesses", 2, "R_inv", wrong)
+    assert_one_violation(clean, faulted, {"truncation-bijection"}, "v=(1, 0, 0)")
 
 
 def test_verify_large_field_skips_exhaustive_suites():

@@ -41,15 +41,13 @@ enumerated.  Fixed entries are walked as one-value entries, so the
 Jacobi-Trudi flip count is a prefix-fixed walk too.
 
 The walk is split into blocks that fix the first few free entries, and
-_walk_block walks each as a longer head.  A head with a nonzero entry gets
-one block per value of the first free entry, or one block in all when that
-entry is the last, which the walk settles in closed form.  Under an
-all-zero head the counts are the same on every orbit of x -> c*x and
-x_t -> b^t*x_t, so the walk visits one representative completion set per
-orbit: for each position of the first nonzero free entry, the block that
-sets it to 1 and its neighbour to 0, weighted q-1, and the block that sets
-both to 1, weighted (q-1)^2 (just the 1, weighted q-1, at the last
-position), plus the all-zero completion.
+_walk_block walks each as a longer head.  A head with a nonzero entry is
+one block, the empty one.  Under an all-zero head the counts are the same
+on every orbit of x -> c*x and x_t -> b^t*x_t, so the walk visits one
+representative completion set per orbit: for each position of the first
+nonzero free entry, the block that sets it to 1 and its neighbour to 0,
+weighted q-1, and the block that sets both to 1, weighted (q-1)^2 (just
+the 1, weighted q-1, at the last position), plus the all-zero completion.
 The cap is charged Q^(free) before the walk starts, an upper bound on the
 tuples it visits.
 
@@ -368,37 +366,35 @@ def _walk_blocks(
 ) -> tuple[list[tuple[int, ...]], list[int]]:
     """The walk's blocks of fixed first free entries, and their weights.
 
-    A head with a nonzero entry gets one block per value of the first free
-    entry, or one empty block when at most one entry is free, since the walk
-    settles the last entry in closed form.  Under an all-zero head there is
-    one block per scaling orbit, weighted by the number of completion sets
-    that share its tallies.  A block fixes len(block) free entries, so the sum of
-    weight * q^(free - len(block)) over the blocks is q^free.
+    A head with a nonzero entry, or no free entry, is one empty block of
+    weight 1: _walk_block enumerates every free entry itself.  Under an
+    all-zero head there is one block per scaling orbit, weighted by the
+    number of completion sets that share its tallies.  A block fixes
+    len(block) free entries, so the sum of weight * q^(free - len(block))
+    over the blocks is q^free.
     """
-    if free and not any(head):
-        # One block per scaling orbit.  x -> c*x scales every view by c, and
-        # x_t -> b^t*x_t turns a view H into D H D' with D, D' = diag(b^i);
-        # for c, b != 0 both are bijections on the completions of a zero
-        # head that keep every rank.  Sort the nonzero completions by the
-        # first nonzero entry x_s = a, at free position j, and its
-        # neighbour x_{s+1} = a'.  (c, b) = (1/a, 1) maps class (a, 0)
-        # onto class (1, 0), and when a' != 0 the one pair b = a/a',
-        # c = 1/(a*b^s) maps class (a, a') onto class (1, 1).  So the q-1
-        # classes (a, 0) have the tallies of block (0^j, 1, 0), the
-        # (q-1)^2 classes with a' != 0 those of (0^j, 1, 1), and when x_s
-        # is the last entry the q-1 classes a those of (0^j, 1).  The
-        # all-zero completion is a block of its own, at rank 0
-        blocks, weights = [(0,) * free], [1]
-        for j in range(free):
-            if j + 1 < free:
-                blocks += [(0,) * j + (1, 0), (0,) * j + (1, 1)]
-                weights += [q - 1, (q - 1) ** 2]
-            else:
-                blocks.append((0,) * j + (1,))
-                weights.append(q - 1)
-    else:
-        blocks = [()] if free <= 1 else [(c,) for c in range(q)]
-        weights = [1] * len(blocks)
+    if not free or any(head):
+        return [()], [1]
+    # One block per scaling orbit.  x -> c*x scales every view by c, and
+    # x_t -> b^t*x_t turns a view H into D H D' with D, D' = diag(b^i);
+    # for c, b != 0 both are bijections on the completions of a zero
+    # head that keep every rank.  Sort the nonzero completions by the
+    # first nonzero entry x_s = a, at free position j, and its
+    # neighbour x_{s+1} = a'.  (c, b) = (1/a, 1) maps class (a, 0)
+    # onto class (1, 0), and when a' != 0 the one pair b = a/a',
+    # c = 1/(a*b^s) maps class (a, a') onto class (1, 1).  So the q-1
+    # classes (a, 0) have the tallies of block (0^j, 1, 0), the
+    # (q-1)^2 classes with a' != 0 those of (0^j, 1, 1), and when x_s
+    # is the last entry the q-1 classes a those of (0^j, 1).  The
+    # all-zero completion is a block of its own, at rank 0
+    blocks, weights = [(0,) * free], [1]
+    for j in range(free):
+        if j + 1 < free:
+            blocks += [(0,) * j + (1, 0), (0,) * j + (1, 1)]
+            weights += [q - 1, (q - 1) ** 2]
+        else:
+            blocks.append((0,) * j + (1,))
+            weights.append(q - 1)
     return blocks, weights
 
 
@@ -658,16 +654,47 @@ def monte_carlo_rank_le(
 # ----------------------------------------------------------------------
 
 
-def _timed(check, field, params, formula, observed, mode, started) -> CensusReport:
+def _timed(check, field, params, formula, observed, started) -> CensusReport:
     return make_report(
         check,
         field,
         params,
         formula=formula,
         observed=observed,
-        mode=mode,
         elapsed_s=time.perf_counter() - started,
     )
+
+
+class _Family:
+    """Tally of one violation family: instances checked, violations, the first.
+
+    Its clock starts when it is made.  A family expects 0 violations, and
+    one that checked no instance checked nothing, so it reports "skipped",
+    not "match".
+    """
+
+    def __init__(self, check: str, field: FieldSpec, **grid):
+        self.check = check
+        self.field = field
+        self.grid = grid
+        self.instances = 0
+        self.violations = 0
+        self.first: str | None = None
+        self.started = time.perf_counter()
+
+    def miss(self, where: str, count: int = 1) -> None:
+        self.violations += count
+        if self.first is None:
+            self.first = where
+
+    def report(self) -> CensusReport:
+        params = {**self.grid, "instances": self.instances, "unit": "violations"}
+        if self.first is not None:
+            params["first_violation"] = self.first
+        report = _timed(self.check, self.field, params, 0, self.violations, self.started)
+        if self.instances == 0 and report.verdict == "match":
+            return replace(report, verdict="skipped")
+        return report
 
 
 def _suite(gen):
@@ -690,19 +717,15 @@ def _suite(gen):
     return run
 
 
-def _len_bound(q: int, ceiling: int = 1024, lo: int = 1, hi: int = 4) -> int:
-    n = lo
-    while n < hi and q ** (n + 2) <= ceiling:
-        n += 1
-    return n
-
-
 def _lemma_bound(q: int) -> int:
     if q == 2:
         return 6
     if q == 3:
         return 4
-    return _len_bound(q)
+    n = 1
+    while n < 4 and q ** (n + 2) <= 1024:
+        n += 1
+    return n
 
 
 @_suite
@@ -717,23 +740,22 @@ def suite_lemmas(
     For every tuple x of length max_n+1 and every legal shape, checks the
     five adjacent-rank implications and that the fast rank-bound test
     agrees with the direct one.  Each check reports its violation count
-    against an expected 0.
+    against an expected 0, or "skipped" when the grid has no instance of it.
     """
-    started = time.perf_counter()
     q = field.order
     bound = max_n if max_n is not None else _lemma_bound(q)
+    tall_le_wide, wide_le_tall, equal, saturated, equivalence, reduction = families = [
+        _Family(name, field, max_n=bound)
+        for name in (
+            "adjacent-rank/tall-le-wide",
+            "adjacent-rank/wide-le-tall",
+            "adjacent-rank/equal",
+            "adjacent-rank/saturated",
+            "adjacent-rank/bound-equivalence",
+            "rank-bound-reduction",
+        )
+    ]
     _check_cap(q ** (bound + 1), cap)
-    names = (
-        "adjacent-rank/tall-le-wide",
-        "adjacent-rank/wide-le-tall",
-        "adjacent-rank/equal",
-        "adjacent-rank/saturated",
-        "adjacent-rank/bound-equivalence",
-        "rank-bound-reduction",
-    )
-    violations = dict.fromkeys(names, 0)
-    instances = dict.fromkeys(names, 0)
-    firsts: dict[str, str] = {}
     kern = _rank_kernel(field)
     shapes = [
         (p_, q_)
@@ -758,45 +780,38 @@ def suite_lemmas(
                 ranks[(rd, cd)] = got
             return got
 
-        def flag(name: str, where: str) -> None:
-            violations[name] += 1
-            firsts.setdefault(name, where)
-
         for p_, q_ in shapes:
             tall = rank_of(p_, q_ - 1)
             wide = rank_of(p_ - 1, q_)
             where = f"shape=({p_},{q_}) x={codes}"
             if tall <= p_:
-                instances["adjacent-rank/tall-le-wide"] += 1
+                tall_le_wide.instances += 1
                 if tall > wide:
-                    flag("adjacent-rank/tall-le-wide", where)
+                    tall_le_wide.miss(where)
             if wide <= q_:
-                instances["adjacent-rank/wide-le-tall"] += 1
+                wide_le_tall.instances += 1
                 if wide > tall:
-                    flag("adjacent-rank/wide-le-tall", where)
+                    wide_le_tall.miss(where)
             if tall <= p_ and wide <= q_:
-                instances["adjacent-rank/equal"] += 1
+                equal.instances += 1
                 if tall != wide:
-                    flag("adjacent-rank/equal", where)
+                    equal.miss(where)
             if tall > p_:
-                instances["adjacent-rank/saturated"] += 1
+                saturated.instances += 1
                 if wide != p_:
-                    flag("adjacent-rank/saturated", where)
+                    saturated.miss(where)
             for r in range(min(p_, q_)):  # r+1 <= p and r+1 <= q
-                instances["adjacent-rank/bound-equivalence"] += 1
+                equivalence.instances += 1
                 if (tall <= r) != (wide <= r):
-                    flag("adjacent-rank/bound-equivalence", f"r={r} {where}")
+                    equivalence.miss(f"r={r} {where}")
         x = SeqTuple.from_codes(field, codes)
         for m, n, r in reductions:
-            instances["rank-bound-reduction"] += 1
+            reduction.instances += 1
             direct = rank_of(m, n) <= r
             if rank_le_fast(x, m, n, r) != direct:
-                flag("rank-bound-reduction", f"m={m} n={n} r={r} x={codes}")
-    for name in names:
-        params = {"max_n": bound, "instances": instances[name], "unit": "violations"}
-        if name in firsts:
-            params["first_violation"] = firsts[name]
-        yield _timed(name, field, params, 0, violations[name], "brute", started)
+                reduction.miss(f"m={m} n={n} r={r} x={codes}")
+    for family in families:
+        yield family.report()
 
 
 _GADGET_WORK_LIMIT = 300_000
@@ -843,36 +858,27 @@ def suite_identities(
     """Instance-wise checks of the two kernel-counting identities.
 
     The summed identity is checked for every prefix of length k <= min(m,
-    n+1); its left side is what `witness.sumlast_sides` returns.
+    n+1); its left side is what `witness.sumlast_sides` returns.  A family
+    with no instance in the grid reports "skipped".
     """
     q = field.order
-    started = time.perf_counter()
     if max_n is not None:
         n_hi = max_n
     else:
         n_hi = 3 if q == 2 else 2 if q == 3 else 1 if q <= 7 else 0
-    bad = 0
-    instances = 0
-    first = None
+    family = _Family("annihilator-count-identity", field, max_n=n_hi)
     for n in range(n_hi + 1):
         for m in range(n + 2):
             _check_cap(q ** (m + n + 1), cap)
             for x in itertools.product(range(q), repeat=m + n + 1):
                 full, _, rhs = _annihilator_term(field, x, m, n)
                 lhs = (q - 1) * (full <= m)
-                instances += 1
+                family.instances += 1
                 if lhs != rhs:
-                    bad += 1
-                    first = first or f"m={m} n={n} x={x} sides=({lhs},{rhs})"
-    params = {"max_n": n_hi, "instances": instances, "unit": "violations"}
-    if first:
-        params["first_violation"] = first
-    yield _timed("annihilator-count-identity", field, params, 0, bad, "brute", started)
-    started = time.perf_counter()
+                    family.miss(f"m={m} n={n} x={x} sides=({lhs},{rhs})")
+    yield family.report()
     m_hi, n2_hi = _gadget_bounds_or_raise(field, max_n)
-    bad = 0
-    instances = 0
-    first = None
+    family = _Family("annihilator-sum-identity", field, max_m=m_hi, max_n=n2_hi)
     for m in range(1, m_hi + 1):
         for n in range(n2_hi + 1):
             _check_cap(q ** (m + n + 1), cap)
@@ -889,14 +895,10 @@ def suite_identities(
             for k, level in enumerate(levels):
                 rhs = (q - 1) * q ** (2 * m - k)
                 for a, lhs in zip(iter_seq_tuples(field, k), level):
-                    instances += 1
+                    family.instances += 1
                     if lhs != rhs:
-                        bad += 1
-                        first = first or f"m={m} n={n} a={a} sides=({lhs},{rhs})"
-    params = {"max_m": m_hi, "max_n": n2_hi, "instances": instances, "unit": "violations"}
-    if first:
-        params["first_violation"] = first
-    yield _timed("annihilator-sum-identity", field, params, 0, bad, "brute", started)
+                        family.miss(f"m={m} n={n} a={a} sides=({lhs},{rhs})")
+    yield family.report()
 
 
 @_suite
@@ -924,7 +926,7 @@ def suite_witnesses(
     fails there is checked again at each k, so violation counts and the
     first violation named are those of one check per prefix.  The closure
     tests mutate x_(j+n+1), which lies past every prefix, and read the
-    flags.
+    flags.  A family with no instance in the grid reports "skipped".
     """
     q = field.order
     m_hi, n_hi = _gadget_bounds_or_raise(field, max_n)
@@ -939,17 +941,9 @@ def suite_witnesses(
         ),
         cap,
     )
-    firsts: dict[str, str] = {}
-
-    def flag(name: str, counts: dict, where: str) -> None:
-        counts[name] += 1
-        firsts.setdefault(name, where)
-
     # tail solver: one oracle sweep per v gives the whole solution set
-    started = time.perf_counter()
-    bad = dict.fromkeys(("tail-solver-annihilation", "tail-solver-count"), 0)
-    inst_solve = 0
-    inst_count = 0
+    solve = _Family("tail-solver-annihilation", field, max_m=m_hi, max_n=n_hi)
+    count = _Family("tail-solver-count", field, max_m=m_hi, max_n=n_hi)
     for m in range(m_hi + 1):
         for n in range(n_hi + 1):
             length = m + n + 1
@@ -963,73 +957,50 @@ def suite_witnesses(
                     constructed = set()
                     for head in iter_seq_tuples(field, m):
                         out = solve_tail(v, head, n)
-                        inst_solve += 1
+                        solve.instances += 1
                         if out.codes not in solutions:
-                            flag(
-                                "tail-solver-annihilation",
-                                bad,
-                                f"v={vcodes} head={head.codes}",
-                            )
+                            solve.miss(f"v={vcodes} head={head.codes}")
                         constructed.add(out.codes)
                     if constructed != solutions:
-                        flag("tail-solver-annihilation", bad, f"v={vcodes} m={m} n={n}")
+                        solve.miss(f"v={vcodes} m={m} n={n}")
                     for k in range(m + 1):
                         buckets: dict[tuple[int, ...], int] = {}
                         for sol in solutions:
                             key = sol[:k]
                             buckets[key] = buckets.get(key, 0) + 1
-                        inst_count += q**k
+                        count.instances += q**k
                         expected = q ** (m - k)
                         if len(buckets) != q**k or any(
                             c != expected for c in buckets.values()
                         ):
-                            flag("tail-solver-count", bad, f"v={vcodes} m={m} n={n} k={k}")
-    params = {"max_m": m_hi, "max_n": n_hi, "instances": inst_solve, "unit": "violations"}
-    if "tail-solver-annihilation" in firsts:
-        params["first_violation"] = firsts["tail-solver-annihilation"]
-    yield _timed(
-        "tail-solver-annihilation", field, params, 0, bad["tail-solver-annihilation"], "brute", started
-    )
-    params = {"max_m": m_hi, "max_n": n_hi, "instances": inst_count, "unit": "violations"}
-    if "tail-solver-count" in firsts:
-        params["first_violation"] = firsts["tail-solver-count"]
-    yield _timed("tail-solver-count", field, params, 0, bad["tail-solver-count"], "brute", started)
+                            count.miss(f"v={vcodes} m={m} n={n} k={k}")
+    yield solve.report()
+    yield count.report()
 
     # truncation map bijection
-    started = time.perf_counter()
-    bad_trunc = 0
-    inst = 0
-    first_trunc = None
+    family = _Family("truncation-bijection", field, max_m=m_hi)
     for m in range(1, m_hi + 1):
         image = set()
         for vtail in itertools.product(range(q), repeat=m):
             v = RowVector.from_codes(field, vtail + (0,))
             w = R_map(v)
-            inst += 1
+            family.instances += 1
             if R_inv(w) != v:
-                bad_trunc += 1
-                first_trunc = first_trunc or f"v={vtail + (0,)}"
+                family.miss(f"v={vtail + (0,)}")
             if any(vtail):
                 image.add(w.codes)
         nonzero_small = {c for c in itertools.product(range(q), repeat=m) if any(c)}
         if image != nonzero_small:
-            bad_trunc += 1
-            first_trunc = first_trunc or f"image mismatch at m={m}"
-    params = {"max_m": m_hi, "instances": inst, "unit": "violations"}
-    if first_trunc:
-        params["first_violation"] = first_trunc
-    yield _timed("truncation-bijection", field, params, 0, bad_trunc, "brute", started)
+            family.miss(f"image mismatch at m={m}")
+    yield family.report()
 
     # alpha/beta bijection, count ratio, freed-entry closure.  The nice
     # tuples of each (v, prefix) are one block of the sweeps' flags; a
     # check that passes at the longest prefix, k = n+1, passes at every k
-    started = time.perf_counter()
-    bad = dict.fromkeys(
-        ("free-entry-bijection", "weak-strong-count-ratio", "free-entry-closure"), 0
-    )
-    inst_bij = 0
-    inst_ratio = 0
-    inst_closure = 0
+    bijection, ratio, closure = families = [
+        _Family(name, field, max_m=m_hi, max_n=n_hi)
+        for name in ("free-entry-bijection", "weak-strong-count-ratio", "free-entry-closure")
+    ]
 
     # alpha and beta refuse tuples that are not nice, which only a wrong
     # flag can hand them: count it as a miss
@@ -1076,13 +1047,13 @@ def suite_witnesses(
                     nweak = Counter(i // size for i in weak)
                     nstrong = Counter(i // size for i in strong)
                     for b in range(q**k):
-                        inst_ratio += 1
+                        ratio.instances += 1
                         if nweak[b] != q * nstrong[b]:
-                            flag("weak-strong-count-ratio", bad, where(k, b * size))
+                            ratio.miss(where(k, b * size))
 
                 misses = []  # (k, prefix, side, tuple, y) of each bijection miss
 
-                def bijection(test, args, side: int, i: int, c: int) -> None:
+                def round_trip(test, args, side: int, i: int, c: int) -> None:
                     if test(context(n + 1, i), *args):
                         return
                     for k in range(n + 2):
@@ -1092,36 +1063,28 @@ def suite_witnesses(
                 pos = max(t for t, c in enumerate(vtail) if c) + n + 1
                 step = q ** (length - 1 - pos)
                 for i in weak:
-                    inst_bij += n + 2
-                    bijection(weak_ok, (SeqTuple.from_codes(field, all_codes[i]),), 0, i, 0)
+                    bijection.instances += n + 2
+                    round_trip(weak_ok, (SeqTuple.from_codes(field, all_codes[i]),), 0, i, 0)
                     # x with x_pos := c has index base + c*step; x_pos is
                     # past every prefix, so the result holds at every k
                     base = i - all_codes[i][pos] * step
                     missed = sum(not weak_flags[base + c * step] for c in range(q))
-                    inst_closure += (n + 2) * q
+                    closure.instances += (n + 2) * q
                     if missed:
-                        flag("free-entry-closure", bad, f"{where(0, i)} x={all_codes[i]}")
-                        bad["free-entry-closure"] += (n + 2) * missed - 1
+                        closure.miss(f"{where(0, i)} x={all_codes[i]}", (n + 2) * missed)
                 for i in strong:
                     s = SeqTuple.from_codes(field, all_codes[i])
                     for c, y in enumerate(field.elements()):
-                        inst_bij += n + 2
-                        bijection(strong_ok, (s, y), 1, i, c)
+                        bijection.instances += n + 2
+                        round_trip(strong_ok, (s, y), 1, i, c)
                 # in the order of one check per prefix: weak tuples before
                 # strong ones within each (k, prefix) block
                 for k, _, _, i, _ in sorted(misses):
-                    flag("free-entry-bijection", bad, f"{where(k, i)} x={all_codes[i]}")
+                    bijection.miss(f"{where(k, i)} x={all_codes[i]}")
     # the zero windows are cached per vector across n; free them with the suite
     _window_successors.cache_clear()
-    for name, count in (
-        ("free-entry-bijection", inst_bij),
-        ("weak-strong-count-ratio", inst_ratio),
-        ("free-entry-closure", inst_closure),
-    ):
-        params = {"max_m": m_hi, "max_n": n_hi, "instances": count, "unit": "violations"}
-        if name in firsts:
-            params["first_violation"] = firsts[name]
-        yield _timed(name, field, params, 0, bad[name], "brute", started)
+    for family in families:
+        yield family.report()
 
 
 def _prefix_family(field, m, n, r, k, formula, cap):
@@ -1167,7 +1130,7 @@ def suite_theorems(
                     check = "unrestricted-count" if k == 0 else "prefix-fixed-count"
                     params = {"m": m, "n": n, "r": r, "k": k}
                     yield _timed(
-                        check, field, {**params, **extra}, formula, observed, "brute", started
+                        check, field, {**params, **extra}, formula, observed, started
                     )
                     if k > 0:
                         yield _timed(
@@ -1176,7 +1139,6 @@ def suite_theorems(
                             params,
                             q ** (2 * r),
                             total,
-                            "brute",
                             started,
                         )
     # full-width range r = m = n+1
@@ -1187,7 +1149,7 @@ def suite_theorems(
             formula = q ** (m + n + 1 - k)
             observed, extra, _ = _prefix_family(field, m, n, m, k, formula, cap)
             params = {"m": m, "n": n, "r": m, "k": k, **extra}
-            yield _timed("full-width-count", field, params, formula, observed, "brute", started)
+            yield _timed("full-width-count", field, params, formula, observed, started)
     # rank-exact census against the piecewise formula, branch by branch
     census_bound = bound if q <= 3 else min(bound, 2 if q <= 9 else 1)
     for n in range(census_bound + 1):
@@ -1201,7 +1163,6 @@ def suite_theorems(
                     {"m": m, "n": n, "r": r},
                     count_rank_eq_formula(field, m, n, r),
                     dist.counts.get(r, 0),
-                    "brute",
                     started,
                 )
             yield _timed(
@@ -1210,7 +1171,6 @@ def suite_theorems(
                 {"m": m, "n": n},
                 q ** (m + n + 1),
                 dist.total,
-                "brute",
                 started,
             )
     # determinant-vanishing counts
@@ -1221,7 +1181,7 @@ def suite_theorems(
             formula = count_det_zero_formula(field, n, k)
             observed, extra, _ = _prefix_family(field, n, n, n, k, formula, cap)
             params = {"n": n, "k": k, **extra}
-            yield _timed("det-zero-count", field, params, formula, observed, "brute", started)
+            yield _timed("det-zero-count", field, params, formula, observed, started)
 
 
 @_suite
@@ -1245,13 +1205,13 @@ def suite_jt(
             formula = count_jt_singular_formula(field, u, v)
             flip = brute_count_jt_singular(field, u, v, cap, path="flip")
             params = {"u": u, "v": v}
-            yield _timed("jt-singular-count-flip", field, params, formula, flip, "brute", started)
+            yield _timed("jt-singular-count-flip", field, params, formula, flip, started)
             direct_started = time.perf_counter()
             direct = brute_count_jt_singular(field, u, v, cap, path="direct")
             yield _timed(
-                "jt-singular-count-direct", field, params, formula, direct, "brute", direct_started
+                "jt-singular-count-direct", field, params, formula, direct, direct_started
             )
-            yield _timed("jt-path-agreement", field, params, flip, direct, "brute", started)
+            yield _timed("jt-path-agreement", field, params, flip, direct, started)
 
 
 _SUITE_FUNCS = {
@@ -1261,12 +1221,6 @@ _SUITE_FUNCS = {
     "theorems": suite_theorems,
     "jt": suite_jt,
 }
-
-
-def _skip_if_empty(report: CensusReport) -> CensusReport:
-    if report.verdict == "match" and report.params.get("instances") == 0:
-        return replace(report, verdict="skipped")
-    return report
 
 
 def verify(
@@ -1279,9 +1233,9 @@ def verify(
     """Run one suite (or "all") over the given fields.
 
     Returns one report per checked instance family.  A family with no
-    instances in the grid checked nothing, so its report has verdict
-    "skipped", not "match", and a suite with no family in the grid gets
-    one "skipped" report of its own.  A suite that hits the cap keeps the
+    instances in the grid checked nothing, so its suite already reports it
+    as "skipped", not "match"; a suite with no family in the grid gets one
+    "skipped" report of its own.  A suite that hits the cap keeps the
     reports it finished and ends with one report of verdict "skipped"
     instead of raising.
     """
@@ -1301,7 +1255,7 @@ def verify(
                 reason = None if done else "no instance in the grid"
             except CapExceededError as exc:
                 done, reason = exc.reports, str(exc)
-            reports.extend(map(_skip_if_empty, done))
+            reports.extend(done)
             if reason is not None:
                 reports.append(
                     CensusReport(name, field, {"reason": reason}, "brute", None, None, "skipped", 0.0)

@@ -219,26 +219,32 @@ class FieldSpec:
             raise ValueError(f"characteristic {p} exceeds 2^31")
         if not isinstance(d, int) or d < 1:
             raise ValueError(f"extension degree must be a positive integer, got {d!r}")
-        if d == 1:
-            modulus = (0, 1)  # identity modulus; ignored for prime fields
-        else:
-            if modulus is None:
-                key = p**d
-                if key in _BUILTIN_MODULI and _BUILTIN_MODULI[key][0] == p:
-                    modulus = _BUILTIN_MODULI[key][1]
-                else:
-                    raise ValueError(
-                        f"no built-in modulus for GF({p}^{d}); supply an irreducible one"
-                    )
-            modulus = tuple(int(c) % p for c in modulus)
-            if len(modulus) != d + 1:
+        if modulus is None:
+            key = p**d
+            if d == 1:
+                modulus = (0, 1)
+            elif key in _BUILTIN_MODULI and _BUILTIN_MODULI[key][0] == p:
+                modulus = _BUILTIN_MODULI[key][1]
+            else:
                 raise ValueError(
-                    f"modulus must have degree {d} ({d + 1} coefficients), got {len(modulus)}"
+                    f"no built-in modulus for GF({p}^{d}); supply an irreducible one"
                 )
-            if modulus[-1] != 1:
-                raise ValueError("modulus must be monic")
-            if not _is_irreducible(modulus, p):
-                raise ValueError(f"modulus {modulus} is reducible over GF({p})")
+        # coefficients follow the rule of element literals: -p < c < p, and
+        # a negative one means its negation
+        coeffs = tuple(int(c) for c in modulus)
+        if len(coeffs) != d + 1:
+            raise ValueError(
+                f"modulus must have degree {d} ({d + 1} coefficients), got {len(coeffs)}"
+            )
+        if not all(-p < c < p for c in coeffs):
+            raise ValueError(f"modulus coefficients {coeffs} out of range (-{p}, {p})")
+        modulus = tuple(c % p for c in coeffs)
+        if modulus[-1] != 1:
+            raise ValueError("modulus must be monic")
+        if d == 1:
+            modulus = (0, 1)  # every monic linear modulus gives GF(p); codes ignore it
+        elif not _is_irreducible(modulus, p):
+            raise ValueError(f"modulus {modulus} is reducible over GF({p})")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "modulus", tuple(modulus))

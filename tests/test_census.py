@@ -22,6 +22,7 @@ from hankelcensus.census import (
     make_report,
     monte_carlo_rank_le,
     rank_le_probability,
+    suite_lemmas,
     target_stderr,
     verify,
 )
@@ -571,6 +572,16 @@ def test_truncation_bijection_reports_one_wrong_inverse(monkeypatch):
 
     clean, faulted = faulted_reports(monkeypatch, "witnesses", 2, "R_inv", wrong)
     assert_one_violation(clean, faulted, {"truncation-bijection"}, "v=(1, 0, 0)")
+
+
+def test_suite_lemmas_skips_a_family_with_no_instance():
+    # at max_n = 0 no shape has r+1 <= min(p, q), so the suite itself, not
+    # only verify, reports the family as skipped
+    reports = suite_lemmas(F3, 0)
+    assert [r.check for r in reports if r.verdict != "match"] == [
+        "adjacent-rank/bound-equivalence"
+    ]
+    assert all(r.verdict == "skipped" for r in reports if r.params["instances"] == 0)
 
 
 def test_verify_large_field_skips_exhaustive_suites():

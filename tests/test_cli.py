@@ -476,6 +476,12 @@ def test_bad_field_spec(capsys):
     code, _, err = run_cli(capsys, "rank", "--field", "6", "--m", "0", "--n", "0", "1")
     assert code == 2
     assert "prime power" in err
+    # a modulus of the wrong degree or with a coefficient outside -p < c < p
+    for field, message in (("5:1,2,1", "degree 1"), ("2^2:3,1,1", "out of range")):
+        code, out, err = run_cli(capsys, "rank", "--field", field, "--m", "0", "--n", "0", "1")
+        assert code == 2 and out == "" and message in err
+    code, out, _ = run_cli(capsys, "rank", "--field", "2^2:-1,1,1", "--m", "0", "--n", "0", "t")
+    assert code == 0 and "rank: 1" in out
 
 
 def test_module_entry_point():

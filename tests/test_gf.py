@@ -156,6 +156,20 @@ def test_modulus_validation():
     assert alt9 != FieldSpec.from_order(9)
 
 
+def test_modulus_coefficients_follow_the_literal_rule():
+    # d+1 coefficients at d = 1 too, each with -p < c < p, not reduced mod p
+    for p, d, modulus in ((5, 1, (1, 2, 1)), (5, 1, (1,)), (2, 2, (3, 1, 1)), (3, 2, (1, 0, 4))):
+        with pytest.raises(ValueError):
+            FieldSpec(p, d, modulus)
+    for text in ("5:1,2,1", "2^2:3,1,1", "2^2:1,1,-2"):
+        with pytest.raises(ValueError):
+            parse_field(text)
+    # a negative coefficient means its negation; every monic linear modulus
+    # gives the prime field itself
+    assert parse_field("2^2:-1,1,1") == FieldSpec.from_order(4)
+    assert parse_field("5:3,1") == parse_field("5:-4,1") == FieldSpec(5)
+
+
 def test_irreducibility_gcd_path():
     # degree 25 over GF(2) has too many candidate divisors for trial
     # division, so this exercises the x^(p^i) - x gcd test

@@ -494,8 +494,7 @@ def test_orbit_blocks_match_one_unsplit_walk(p, d):
 @pytest.mark.parametrize("name", list(CLASSES))
 def test_walk_blocks_cover_every_completion_once(name):
     # the blocks need only q, so every order of the class is checked, past
-    # the flat sweep's reach; a nonzero head gets q blocks, so the primes
-    # stay near the other classes' orders.  Block counts are left free
+    # the flat sweep's reach.  Block counts are left free
     orders = (2, 3, 101, 2**16 + 1, 2**17 - 1) if name == "prime" else [
         p**d for p, d in CLASSES[name]
     ]

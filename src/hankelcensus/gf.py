@@ -219,11 +219,11 @@ class FieldSpec:
             raise ValueError(f"characteristic {p} exceeds 2^31")
         if not isinstance(d, int) or d < 1:
             raise ValueError(f"extension degree must be a positive integer, got {d!r}")
-        if modulus is None:
+        if modulus is None and d == 1:
+            modulus = (0, 1)
+        elif modulus is None:
             key = p**d
-            if d == 1:
-                modulus = (0, 1)
-            elif key in _BUILTIN_MODULI and _BUILTIN_MODULI[key][0] == p:
+            if key in _BUILTIN_MODULI and _BUILTIN_MODULI[key][0] == p:
                 modulus = _BUILTIN_MODULI[key][1]
             else:
                 raise ValueError(

@@ -517,8 +517,8 @@ def test_identity_block_sums_report_one_wrong_term(monkeypatch):
 
 
 def faulted_reports(monkeypatch, suite, max_n, name, wrong):
-    # the suite's reports on GF(2), clean and with census.<name> replaced by
-    # wrong(real, *args); every family but `changed` must be unchanged
+    # the suite's reports on GF(2) by check, clean and with census.<name>
+    # replaced by wrong(real, *args)
     clean = {r.check: r for r in verify(suite, [F2], max_n=max_n)}
     real = getattr(census, name)
     monkeypatch.setattr(census, name, lambda *args: wrong(real, *args))
@@ -529,6 +529,7 @@ def faulted_reports(monkeypatch, suite, max_n, name, wrong):
 
 
 def assert_one_violation(clean, faulted, changed, where):
+    # each family in `changed` finds one violation, at `where`; the rest match
     for check, report in faulted.items():
         if check in changed:
             assert report.verdict == "mismatch" and report.observed_value == 1
@@ -578,10 +579,10 @@ def test_suite_lemmas_skips_a_family_with_no_instance():
     # at max_n = 0 no shape has r+1 <= min(p, q), so the suite itself, not
     # only verify, reports the family as skipped
     reports = suite_lemmas(F3, 0)
-    assert [r.check for r in reports if r.verdict != "match"] == [
-        "adjacent-rank/bound-equivalence"
+    assert [(r.check, r.verdict) for r in reports if not r.params["instances"]] == [
+        ("adjacent-rank/bound-equivalence", "skipped")
     ]
-    assert all(r.verdict == "skipped" for r in reports if r.params["instances"] == 0)
+    assert all(r.verdict == "match" for r in reports if r.params["instances"])
 
 
 def test_verify_large_field_skips_exhaustive_suites():

@@ -560,10 +560,19 @@ def format_element(a: FieldElement) -> str:
     return "+".join(terms) if terms else "0"
 
 
+def _decimal(text: str, signed: bool = False) -> int:
+    # ASCII digits only, after a '-' when signed: int() alone would also
+    # take '5_0', digits of other scripts, a '+' and surrounding spaces
+    digits = text[1:] if signed and text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def _literal_coeff(spec: FieldSpec, text: str, literal: str) -> int:
     # an integer coefficient c with -p < c < p; negatives mean negation
     try:
-        c = int(text)
+        c = _decimal(text, signed=True)
     except ValueError as exc:
         raise ValueError(f"bad element literal {literal!r} for {spec}") from exc
     if not -spec.p < c < spec.p:
@@ -584,7 +593,7 @@ def parse_element(spec: FieldSpec, text: str) -> FieldElement:
         if not term:
             raise ValueError(f"bad element literal {text!r}")
         if "t" not in term:
-            power = 0
+            power = "0"
             coeff = term
         else:
             coeff_s, _, power_s = term.partition("t")
@@ -593,13 +602,13 @@ def parse_element(spec: FieldSpec, text: str) -> FieldElement:
                 coeff_s = coeff_s[:-1].strip()
             coeff = coeff_s or "1"
             if power_s == "":
-                power = 1
+                power = "1"
             elif power_s.startswith("^"):
                 power = power_s[1:]
             else:
                 raise ValueError(f"bad term {term!r} in element literal {text!r}")
         try:
-            power = int(power)
+            power = _decimal(power)
         except ValueError as exc:
             raise ValueError(f"bad term {term!r} in element literal {text!r}") from exc
         if not 0 <= power < spec.d:
@@ -613,16 +622,16 @@ def parse_field(text: str) -> FieldSpec:
     text = text.strip()
     if ":" in text:
         head, _, tail = text.partition(":")
-        base, _, deg = head.partition("^")
+        base, caret, deg = head.partition("^")
         try:
-            p = int(base)
-            d = int(deg) if deg else 1
-            coeffs = [int(c) for c in tail.split(",")]
+            p = _decimal(base)
+            d = _decimal(deg) if caret else 1
+            coeffs = [_decimal(c, signed=True) for c in tail.split(",")]
         except ValueError as exc:
             raise ValueError(f"bad field spec {text!r}") from exc
         return FieldSpec(p, d, coeffs)
     try:
-        q = int(text)
+        q = _decimal(text)
     except ValueError as exc:
         raise ValueError(f"bad field spec {text!r}") from exc
     return FieldSpec.from_order(q)

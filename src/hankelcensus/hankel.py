@@ -10,18 +10,18 @@ The containers (SeqTuple, RowVector, DenseMatrix) hold their field and a
 tuple of integer element codes (see gf); a FieldElement is decoded only
 when an entry is read.  Internally rows are lists of codes.  Rank and
 determinant run one pivot loop: it finds each column's first nonzero
-entry below the rows already used, and hands it to a step bound once per
-field, which swaps that row up and clears the column below it.  Prime
-fields step with a*row - f*prow mod p, which needs no pivot inverse;
-extension fields with log tables subtract (f/a)*prow by XOR for p = 2 or
-by Zech logarithms for odd p; larger fields use the code operations.
-det() runs the code-operation step on every field, since it keeps the
-determinant as it is, and tracks the pivot product and swap sign.  The
-same binder gives the one-vector row update of incremental elimination
-(_sub_mul_kernel), and the lane update of lockstep elimination
-(_lockstep_kernel), which decides "rank <= limit" for a whole batch of
-tuples at once: each view entry is held as one list over the batch, so
-every update is one list comprehension over all the tuples.
+entry below the rows already used, and hands it to one pivot step, which
+swaps that row up and subtracts (f/a)*prow from each row below.  The step
+is built once per field on the field's row update v - w*b (mod p for
+prime fields, log tables with XOR for p = 2 or Zech logarithms for odd p,
+the code operations above the table limit), which incremental
+elimination uses on its own (_sub_mul_kernel).  The step keeps the
+determinant, so det() runs it too and tracks the pivot product and swap
+sign.  The lane update of lockstep elimination (_lockstep_kernel), which
+decides "rank <= limit" for a whole batch of tuples at once, is the only
+inverse-free update: each view entry is held as one list over the batch,
+every update is one list comprehension over all the tuples, and a view
+with a zero pivot falls back to the pivot step.
 """
 
 from __future__ import annotations
@@ -257,42 +257,44 @@ def _pivot_loop(step, rows: list[list[int]], limit: int) -> int:
     return rank
 
 
-def _code_op_step(spec: FieldSpec):
-    """row_i <- row_i - (f/a)*prow through the field's code operations.
-
-    Unlike the inverse-free mod-p step it leaves the determinant as it is,
-    so det() runs it on every field; rank runs it above the table limit.
-    """
-    sub, mul, inv = spec.sub_code, spec.mul_code, spec.inv_code
+def _pivot_step(mul, inv, sub_mul):
+    """The step row_i <- row_i - (f/a)*prow, built on the field's row update."""
 
     def step(rows, top, piv, col):
         rows[top], rows[piv] = rows[piv], rows[top]
         prow = rows[top]
         # above the table limit an inverse costs about 2 log2(q) polynomial
-        # products, so a pivot with nothing to clear below it skips it
-        below = [i for i in range(top + 1, len(rows)) if rows[i][col]]
-        if below:
-            pinv = inv(prow[col])
-        for i in below:
-            f = mul(rows[i][col], pinv)
-            rows[i] = [sub(x, mul(f, y)) for x, y in zip(rows[i], prow)]
+        # products, so the pivot is inverted at the first row to clear (0
+        # marks "not yet"), and never when there is none
+        pinv = 0
+        for i in range(top + 1, len(rows)):
+            f = rows[i][col]
+            if f:
+                if not pinv:
+                    pinv = inv(prow[col])
+                rows[i] = sub_mul(rows[i], mul(f, pinv), prow)
 
     return step
 
 
 @lru_cache(maxsize=16)
 def _kernels(spec: FieldSpec):
-    """Bind, once per field, the pivot step, the one-vector update and the lane update.
+    """Bind, once per field, the pivot step, the row update and the lane update.
 
-    The update (v, f, b) -> v - f*b on code lists serves incremental
+    The row update (v, f, b) -> v - f*b on code lists serves incremental
     elimination; it leaves v and b as they are and accepts f = 0.  The
-    lane update lanes(rows, k) serves lockstep elimination: rows[i][j] is
-    the list of entry (i, j) over a batch of matrices, and it pivots every
-    matrix on its entry (k, k), clearing column k below row k.  It
-    replaces rows[i][k+1:] for i > k and leaves rows[i][k] as it is (it
-    reads as zero from then on).  A lane whose pivot is 0 comes out as
-    garbage, which the caller must decide some other way.  All three work
-    in one representation: arithmetic mod p for prime fields, log tables
+    pivot step is built on it and the field's product and inverse, and
+    leaves the determinant as it is, so one step serves rank, det and the
+    lockstep fallback.  The lane update lanes(rows, k) serves lockstep
+    elimination: rows[i][j] is the list of entry (i, j) over a batch of
+    matrices, and it pivots every matrix on its entry (k, k), clearing
+    column k below row k.  It alone inverts no pivot: mod p and above the
+    table limit it sets row_i <- a*row_i - f*prow for pivot a, and with
+    log tables it reads log(f/a) as log f - log a.  It replaces
+    rows[i][k+1:] for i > k and leaves rows[i][k] as it is (it reads as
+    zero from then on).  A lane whose pivot is 0 comes out as garbage,
+    which the caller must decide some other way.  All three work in one
+    representation: arithmetic mod p for prime fields, log tables
     (gf._LogTables) with XOR sums for p = 2 or Zech sums for odd p, and
     the code operations above the table limit.  The bindings of the
     fields used last are kept, a bounded number so that user-supplied
@@ -301,16 +303,8 @@ def _kernels(spec: FieldSpec):
     if spec.d == 1:
         p = spec.p
 
-        def step(rows, top, piv, col):
-            rows[top], rows[piv] = rows[piv], rows[top]
-            prow = rows[top]
-            a = prow[col]
-            # row_i <- a*row_i - f*prow clears the column without inverting
-            # the pivot; scaling a row by a != 0 leaves the rank as it is
-            for i in range(top + 1, len(rows)):
-                f = rows[i][col]
-                if f:
-                    rows[i] = [(a * x - f * y) % p for x, y in zip(rows[i], prow)]
+        def sub_mul(v, f, b):
+            return [(x - f * y) % p for x, y in zip(v, b)]
 
         def lanes(rows, k):
             prow = rows[k]
@@ -322,14 +316,18 @@ def _kernels(spec: FieldSpec):
                     for X, Y in zip(row[k + 1 :], prow[k + 1 :])
                 ]
 
-        return step, lambda v, f, b: [(x - f * y) % p for x, y in zip(v, b)], lanes
+        step = _pivot_step(lambda a, b: a * b % p, lambda a: pow(a, -1, p), sub_mul)
+        return step, sub_mul, lanes
     tab = spec.tables
     if tab is None:
         sub, mul = spec.sub_code, spec.mul_code
 
+        def sub_mul(v, f, b):
+            return [sub(x, mul(f, y)) for x, y in zip(v, b)]
+
         def lanes(rows, k):
-            # inverse-free, as in the prime step: above the table limit an
-            # inverse costs about 2 log2(q) polynomial products
+            # inverse-free: above the table limit an inverse costs about
+            # 2 log2(q) polynomial products
             prow = rows[k]
             A = prow[k]
             for row in rows[k + 1 :]:
@@ -339,26 +337,19 @@ def _kernels(spec: FieldSpec):
                     for X, Y in zip(row[k + 1 :], prow[k + 1 :])
                 ]
 
-        return (
-            _code_op_step(spec),
-            lambda v, f, b: [sub(x, mul(f, y)) for x, y in zip(v, b)],
-            lanes,
-        )
+        return _pivot_step(mul, spec.inv_code, sub_mul), sub_mul, lanes
     exp, log, zech = tab
     L = len(log) - 1
     half = L // 2  # -1 = g^half
     nil = 3 * L  # log[0]
-    if not zech:  # p = 2: subtraction is XOR
 
-        def step(rows, top, piv, col):
-            rows[top], rows[piv] = rows[piv], rows[top]
-            prow = rows[top]
-            lpinv = L - log[prow[col]]
-            for i in range(top + 1, len(rows)):
-                f = rows[i][col]
-                if f:
-                    lf = log[f] + lpinv
-                    rows[i] = [x ^ exp[lf + log[y]] for x, y in zip(rows[i], prow)]
+    def mul(a, b):
+        return exp[log[a] + log[b]]
+
+    def inv(a):
+        return exp[L - log[a]]
+
+    if not zech:  # p = 2: subtraction is XOR
 
         def sub_mul(v, f, b):
             if not f:
@@ -379,22 +370,10 @@ def _kernels(spec: FieldSpec):
                     for X, Y in zip(row[k + 1 :], ly)
                 ]
 
-        return step, sub_mul, lanes
+        return _pivot_step(mul, inv, sub_mul), sub_mul, lanes
 
-    # odd p: add w*y for w = -f/a (step) or -f (sub_mul) by Zech
-    # logarithms, reading the Zech table at c + log y - log x, c = 3L + log w
-    def step(rows, top, piv, col):
-        rows[top], rows[piv] = rows[piv], rows[top]
-        prow = rows[top]
-        lpinv = L - log[prow[col]]
-        for i in range(top + 1, len(rows)):
-            f = rows[i][col]
-            if f:
-                c = 3 * L + (log[f] + lpinv + half) % L
-                rows[i] = [
-                    exp[(lx := log[x]) + zech[c + log[y] - lx]] for x, y in zip(rows[i], prow)
-                ]
-
+    # odd p: add w*y for w = -f by Zech logarithms, reading the Zech table
+    # at c + log y - log x, c = 3L + log w
     def sub_mul(v, f, b):
         if not f:
             return v
@@ -406,14 +385,14 @@ def _kernels(spec: FieldSpec):
         la = [log[a] for a in prow[k]]
         ly = [[log[y] for y in Y] for Y in prow[k + 1 :]]
         for row in rows[k + 1 :]:
-            # c as in step for w = -f/a; 0 marks f = 0, where x stays
+            # c as in sub_mul for w = -f/a; 0 marks f = 0, where x stays
             cw = [nil + (log[f] - l + half) % L if f else 0 for f, l in zip(row[k], la)]
             row[k + 1 :] = [
                 [exp[(lx := log[x]) + zech[c + y - lx]] if c else x for x, c, y in zip(X, cw, Y)]
                 for X, Y in zip(row[k + 1 :], ly)
             ]
 
-    return step, sub_mul, lanes
+    return _pivot_step(mul, inv, sub_mul), sub_mul, lanes
 
 
 def _rank_kernel(spec: FieldSpec):
@@ -511,7 +490,7 @@ def det(M: DenseMatrix) -> FieldElement:
     if M.rows != M.cols:
         raise ValueError(f"determinant needs a square matrix, got {M.rows}x{M.cols}")
     spec = M.field
-    clear = _code_op_step(spec)
+    clear = _kernels(spec)[0]
     acc = 1  # pivot product, negated per row swap
 
     def step(rows, top, piv, col):

@@ -482,6 +482,15 @@ def test_bad_field_spec(capsys):
         assert code == 2 and out == "" and message in err
     code, out, _ = run_cli(capsys, "rank", "--field", "2^2:-1,1,1", "--m", "0", "--n", "0", "t")
     assert code == 0 and "rank: 1" in out
+    # only ASCII decimal integers: no empty degree, no digits of other
+    # scripts, no '_' or '+', in field specs and in element literals
+    for field in ("2^:1,1", "\u0663", "5_0", "+5", "2^2:1,1,+1", "2^\u0662:1,1,1"):
+        code, out, err = run_cli(capsys, "rank", "--field", field, "--m", "0", "--n", "0", "1")
+        assert code == 2 and out == "" and "bad field spec" in err
+    literals = (("11", "1_0"), ("11", "\u0663"), ("11", "+1"), ("9", "t^\u0661"), ("9", "0_1*t"))
+    for field, entry in literals:
+        code, out, err = run_cli(capsys, "rank", "--field", field, "--m", "0", "--n", "0", entry)
+        assert code == 2 and out == "" and "element literal" in err
 
 
 def test_module_entry_point():

@@ -189,7 +189,7 @@ def test_parse_field_round_trip():
     assert parse_field("9") == FieldSpec.from_order(9)
     assert parse_field("2^2:1,1,1") == FieldSpec.from_order(4)
     assert parse_field("7") == FieldSpec(7)
-    for text in ("6", "121", "x", "0"):
+    for text in ("6", "121", "x", "0", "2^:1,1", "\u0663", "5_0", "+5"):
         with pytest.raises(ValueError):
             parse_field(text)
     for q in (4, 9, 27, 101):
@@ -231,7 +231,7 @@ def test_element_text_round_trip(q):
 
 def test_parse_element_errors():
     f9 = FieldSpec.from_order(9)
-    for bad in ("", "t^5", "1+", "u"):
+    for bad in ("", "t^5", "1+", "u", "1_0", "\u0662", "t^-1", "t^+1", "2*t^\u0661", "-"):
         with pytest.raises(ValueError):
             parse_element(f9, bad)
     assert parse_element(f9, "2*t+1") == f9.element((1, 2))

@@ -31,25 +31,33 @@ reads the Hankel view in whichever orientation has the shorter columns,
 with nrows entries per column, so that entry x_t completes column
 t-nrows+1, and keeps an echelon basis of the finished columns.  With
 x_t = y the new column's residual against that basis is r0 + y*re, where
-r0 is its residual at y = 0 and re that of the last unit vector.  So the
-values of x_t that keep the rank are known in closed form: exactly one if
-r0 is a multiple of re, and none otherwise (when re = 0, r0 is never 0 on
-a Hankel view, so none keeps it).  Whole subtrees are tallied without
-being visited, exactly: once the rank exceeds the limit asked for, or
-reaches nrows, every completion has that rank.  The last entry is never
+r0 is its residual at y = 0 and re that of the last unit vector e_last:
+e_last itself, or 0 once e_last is in the span, a flag the walk carries
+down.  So the values of x_t that keep the rank are known in closed form:
+exactly one if r0 is a multiple of re, and none otherwise (when re = 0,
+r0 is never 0 on a Hankel view, so none keeps it).  One basis vector
+serves every value that raises the rank, built once per node: e_last
+when r0 is a multiple of it, r0 scaled by the inverse of its first
+nonzero when re = 0, and otherwise that scaled r0 with only its last
+entry computed per value.  Whole subtrees are tallied without being
+visited, exactly: once the rank exceeds the limit asked for, or reaches
+nrows, every completion has that rank.  The last entry is never
 enumerated.  Fixed entries are walked as one-value entries, so the
 Jacobi-Trudi flip count is a prefix-fixed walk too.
 
 The walk is split into blocks that fix the first few free entries, and
 _walk_block walks each as a longer head.  A head with a nonzero entry is
-one block, the empty one.  Under an all-zero head the counts are the same
-on every orbit of x -> c*x and x_t -> b^t*x_t, so the walk visits one
-representative completion set per orbit: for each position of the first
-nonzero free entry, the block that sets it to 1 and its neighbour to 0,
-weighted q-1, and the block that sets both to 1, weighted (q-1)^2 (just
-the 1, weighted q-1, at the last position), plus the all-zero completion.
-The cap is charged Q^(free) before the walk starts, an upper bound on the
-tuples it visits.
+one block, the empty one.  Under an all-zero head the tallies are the
+same on every orbit of the scaling x -> c*x, the torus x_t -> b^t*x_t
+and the binomial translation of _walk_blocks, so the walk visits one
+representative completion set per class.  For each position s of the
+first nonzero entry it sets x_s = 1 and x_{s+1} = 0, weighted q(q-1),
+or, when p divides s+1, weighted q-1 beside the block x_{s+1} = 1,
+weighted (q-1)^2.  Where x_{s+2} is free, each x_{s+1} = 0 block is
+split by the square class of x_{s+2}.  The last position is the one
+block x_s = 1, weighted q-1, and the all-zero completion is a block of
+its own.  The cap is charged Q^(free) before the walk starts, an upper
+bound on the tuples it visits.
 
 The witness suite flags each tuple once per gadget vector and view, not
 once per prefix.  For every vector v it flags the tuples in odometer
@@ -361,40 +369,72 @@ def _test_shape(m: int, n: int, r: int) -> tuple[int, int]:
     return m, n
 
 
+def _non_square(spec: FieldSpec) -> int:
+    """The first code nu with nu^((q-1)/2) != 1, a non-square of odd q."""
+    half = (spec.order - 1) // 2
+    return next(c for c in range(2, spec.order) if spec._pow_code_raw(c, half) != 1)
+
+
 def _walk_blocks(
-    q: int, head: Sequence[int], free: int
+    spec: FieldSpec, head: Sequence[int], free: int
 ) -> tuple[list[tuple[int, ...]], list[int]]:
     """The walk's blocks of fixed first free entries, and their weights.
 
     A head with a nonzero entry, or no free entry, is one empty block of
     weight 1: _walk_block enumerates every free entry itself.  Under an
-    all-zero head there is one block per scaling orbit, weighted by the
-    number of completion sets that share its tallies.  A block fixes
-    len(block) free entries, so the sum of weight * q^(free - len(block))
-    over the blocks is q^free.
+    all-zero head there is one block per class of completion sets that a
+    rank-keeping bijection maps onto one another, weighted by the size of
+    the class.  A block fixes len(block) free entries, so the sum of
+    weight * q^(free - len(block)) over the blocks is q^free.
     """
     if not free or any(head):
         return [()], [1]
-    # One block per scaling orbit.  x -> c*x scales every view by c, and
-    # x_t -> b^t*x_t turns a view H into D H D' with D, D' = diag(b^i);
-    # for c, b != 0 both are bijections on the completions of a zero
-    # head that keep every rank.  Sort the nonzero completions by the
-    # first nonzero entry x_s = a, at free position j, and its
-    # neighbour x_{s+1} = a'.  (c, b) = (1/a, 1) maps class (a, 0)
-    # onto class (1, 0), and when a' != 0 the one pair b = a/a',
-    # c = 1/(a*b^s) maps class (a, a') onto class (1, 1).  So the q-1
-    # classes (a, 0) have the tallies of block (0^j, 1, 0), the
-    # (q-1)^2 classes with a' != 0 those of (0^j, 1, 1), and when x_s
-    # is the last entry the q-1 classes a those of (0^j, 1).  The
-    # all-zero completion is a block of its own, at rank 0
+    q, p = spec.order, spec.p
+    # Three kinds of maps are bijections on the completions of a zero head
+    # that keep the rank of every view.  x -> c*x scales each view by c.
+    # x_t -> b^t*x_t turns a view H into D H D' with D, D' = diag(b^i).
+    # The translation y_t = sum_k C(t,k)*lam^(t-k)*x_k gives
+    # H(y) = P H(x) Q^T by Vandermonde's identity, with P = (C(i,a) *
+    # lam^(i-a)) and Q alike, both unit lower triangular; it keeps the
+    # zeros before the first nonzero entry x_s and moves x_{s+1} by
+    # (s+1)*lam*x_s.  Sort the nonzero completions by x_s = a, at free
+    # position j (so s = len(head) + j), and x_{s+1} = a'.  c = 1/a sets
+    # x_s = 1.  When p does not divide s+1, lam = -a'/(s+1) then sets
+    # x_{s+1} = 0, so all q(q-1) classes (a, a') share the tallies of
+    # block (0^j, 1, 0).  When p | s+1, (c, b) = (1/a, 1) maps class
+    # (a, 0) onto (1, 0), and b = a/a', c = 1/(a*b^s) maps (a, a') onto
+    # (1, 1): blocks (0^j, 1, 0) and (0^j, 1, 1), weighted q-1 and
+    # (q-1)^2.  Within class (1, 0), c = b^(-s) keeps x_s = 1 and
+    # x_{s+1} = 0 and scales x_{s+2} by b^2.  So where x_{s+2} is free,
+    # a (1, 0) block splits by the square class of x_{s+2}: 0, 1 and a
+    # non-square nu, of sizes 1, (q-1)/2 and (q-1)/2, for odd q; 0 and
+    # 1, of sizes 1 and q-1, for p = 2, where every element is a square.
+    # When x_s is the last entry, the q-1 classes a share block (0^j, 1).
+    # The all-zero completion is a block of its own, at rank 0
+    if free < 3:
+        split = []
+    elif p == 2:
+        split = [(0, 1), (1, q - 1)]
+    else:
+        split = [(0, 1), (1, (q - 1) // 2), (_non_square(spec), (q - 1) // 2)]
     blocks, weights = [(0,) * free], [1]
     for j in range(free):
-        if j + 1 < free:
-            blocks += [(0,) * j + (1, 0), (0,) * j + (1, 1)]
-            weights += [q - 1, (q - 1) ** 2]
-        else:
-            blocks.append((0,) * j + (1,))
+        one = (0,) * j + (1,)
+        if j + 1 == free:
+            blocks.append(one)
             weights.append(q - 1)
+            continue
+        weight = q * (q - 1)
+        if (len(head) + j + 1) % p == 0:
+            weight = q - 1
+            blocks.append(one + (1,))
+            weights.append((q - 1) ** 2)
+        if j + 2 == free:
+            blocks.append(one + (0,))
+            weights.append(weight)
+        else:
+            blocks += [one + (0, c) for c, _ in split]
+            weights += [weight * size for _, size in split]
     return blocks, weights
 
 
@@ -421,21 +461,22 @@ def _walk_block(
     last = nrows + ncols - 2  # index of the last entry
     fixed = len(head)
     sub_mul = _sub_mul_kernel(spec)
-    mul, inv, neg = spec.mul_code, spec.inv_code, spec.neg_code
-    zero = [0] * nrows
-    unit = zero[1:] + [1]
+    mul, inv, neg, add = spec.mul_code, spec.inv_code, spec.neg_code, spec.add_code
+    unit = [0] * (nrows - 1) + [1]
     tallies = [0] * (limit + 2)
     x = list(head) + [0] * free
 
-    def walk(t: int, basis: list) -> None:
-        # x[:t] is set and rank = len(basis) < stop; x_t completes column
-        # t - nrows + 1, whose residual for x_t = y is r0 + y*re
+    def walk(t: int, basis: list, spanned: bool) -> None:
+        # x[:t] is set, rank = len(basis) < stop, and spanned tells whether
+        # e_last is in the span.  x_t completes column t - nrows + 1, whose
+        # residual for x_t = y is r0 + y*re, with re = 0 if spanned and
+        # e_last otherwise
         rank = len(basis)
         values = (head[t],) if t < fixed else range(q)
         if t < nrows - 1:
             for y in values:
                 x[t] = y
-                walk(t + 1, basis)
+                walk(t + 1, basis, spanned)
             return
         x[t] = 0
         r0 = x[t - nrows + 1 : t + 1]
@@ -443,36 +484,52 @@ def _walk_block(
         for piv, b in basis:
             if r0[piv]:
                 r0 = sub_mul(r0, r0[piv], b)
-        # Pivots sit at first nonzero entries, so re is e_last itself, or
-        # 0 once e_last is in the basis.  Either way r0 + y*re is 0 at
-        # the one y = -r0[-1] if r0 vanishes off its last entry, and at
-        # no y otherwise.  For re = 0 that needs r0 != 0: were e_last and
-        # the column at y = 0 both in the span, each annihilator (u', 0)
-        # of the span would give another, (0, u'), and there would be
-        # more than nrows - rank independent ones
-        re = zero if any(piv == nrows - 1 for piv, _ in basis) else unit
-        keep = [] if any(r0[:-1]) else [neg(r0[-1])]
-        if t < fixed:
-            keep = [y for y in keep if y in values]
-        raised = len(values) - len(keep)
+        # Pivots sit at first nonzero entries, so e_last is spanned only
+        # as a basis vector, and then r0 is 0 at its last entry.  So
+        # r0 + y*re is 0 at the one y = -r0[-1] if r0 vanishes off its
+        # last entry, and at no y otherwise.  For re = 0 that needs
+        # r0 != 0: were e_last and the column at y = 0 both in the span,
+        # each annihilator (u', 0) of the span would give another,
+        # (0, u'), and there would be more than nrows - rank independent
+        # ones
+        keep = None if spanned or any(r0[:-1]) else neg(r0[-1])
+        kept = keep is not None and keep in values
+        raised = len(values) - kept
         if t == last:
-            tallies[rank] += len(keep)
+            tallies[rank] += kept
             tallies[rank + 1] += raised
             return
+        if kept:
+            x[t] = keep
+            walk(t + 1, basis, spanned)
         if rank + 1 == stop:  # each raising value settles its subtree
             tallies[stop] += raised * q ** (last + 1 - max(t + 1, fixed))
-            values = keep
+            return
+        # the raising values share their new basis vector: e_last when r0
+        # is a multiple of it, and otherwise r0 + y*re scaled by the
+        # inverse of r0's first nonzero, which depends on y only through
+        # its last entry, and not at all when re = 0
+        if keep is not None:
+            grown = basis + [(nrows - 1, unit)]
+            for y in values:
+                if y != keep:
+                    x[t] = y
+                    walk(t + 1, grown, True)
+            return
+        piv = next(i for i, c in enumerate(r0) if c)
+        s = inv(r0[piv])
+        if spanned:
+            grown = basis + [(piv, [mul(s, c) for c in r0])]
+            for y in values:
+                x[t] = y
+                walk(t + 1, grown, True)
+            return
+        scaled, end = [mul(s, c) for c in r0[:-1]], r0[-1]
         for y in values:
             x[t] = y
-            if y in keep:
-                walk(t + 1, basis)
-            else:
-                v = sub_mul(r0, neg(y), re)
-                piv = next(i for i, c in enumerate(v) if c)
-                s = inv(v[piv])
-                walk(t + 1, basis + [(piv, [mul(s, c) for c in v])])
+            walk(t + 1, basis + [(piv, scaled + [mul(s, add(end, y))])], False)
 
-    walk(0, [])
+    walk(0, [], False)
     return tallies
 
 
@@ -489,7 +546,7 @@ def _tally_ranks(
     Each block is walked as a longer head.  The cap is charged Q^(free).
     """
     _check_cap(spec.order**free, cap)
-    blocks, weights = _walk_blocks(spec.order, head, free)
+    blocks, weights = _walk_blocks(spec, head, free)
     head = tuple(head)
     parts = [_walk_block(spec, head + b, free - len(b), shape, limit) for b in blocks]
     return [sum(w * n for w, n in zip(weights, col)) for col in zip(*parts)]

@@ -16,7 +16,8 @@ Extension fields up to order 2^16 build O(Q) discrete-log tables on first
 use: antilogs and logs of a primitive element and, for odd p, Zech
 logarithms log(1 + g^n), so products, inverses and (odd p) sums are table
 lookups.  In characteristic 2 a sum is the XOR of codes.  Larger fields
-use polynomial and coefficient-wise arithmetic on the decoded codes.
+use polynomial and coefficient-wise arithmetic on the decoded codes, and
+invert by the extended Euclidean algorithm against the modulus.
 
 Field spec text format: "Q" for a built-in field (e.g. "9"), or
 "p^d:c0,c1,...,cd" with little-endian modulus coefficients.  Elements
@@ -135,6 +136,29 @@ def _poly_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     while b:
         a, b = b, _poly_mod(a, b, p)
     return a
+
+
+def _poly_inv(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
+    """The inverse of a mod m, for a prime to m and both reduced mod p, by extended Euclid."""
+    # s0*a = r0 and s1*a = r1 (mod m) throughout
+    r0, r1 = _poly_trim(list(m)), _poly_trim(list(a))
+    s0, s1 = [], [1]
+    while len(r1) > 1:
+        lead_inv = pow(r1[-1], p - 2, p)
+        while len(r0) >= len(r1):
+            f = r0[-1] * lead_inv % p
+            shift = len(r0) - len(r1)
+            for i, c in enumerate(r1):
+                r0[shift + i] = (r0[shift + i] - f * c) % p
+            s0 += [0] * (shift + len(s1) - len(s0))
+            for i, c in enumerate(s1):
+                s0[shift + i] = (s0[shift + i] - f * c) % p
+            _poly_trim(r0)
+            _poly_trim(s0)
+        r0, r1, s0, s1 = r1, r0, s1, s0
+    # r1 is the nonzero constant gcd
+    c = pow(r1[0], p - 2, p)
+    return [x * c % p for x in s1]
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -444,7 +468,7 @@ class FieldSpec:
         tab = self.tables
         if tab is not None:
             return tab.exp[self.order - 1 - tab.log[a]]
-        return self._pow_code_raw(a, self.order - 2)
+        return self.encode(_poly_inv(self.decode(a), self.modulus, self.p))
 
 
 def _smallest_prime_factor(n: int) -> int:

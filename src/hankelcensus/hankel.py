@@ -263,7 +263,7 @@ def _pivot_step(mul, inv, sub_mul):
     def step(rows, top, piv, col):
         rows[top], rows[piv] = rows[piv], rows[top]
         prow = rows[top]
-        # above the table limit an inverse costs about 2 log2(q) polynomial
+        # above the table limit an inverse costs about two polynomial
         # products, so the pivot is inverted at the first row to clear (0
         # marks "not yet"), and never when there is none
         pinv = 0
@@ -326,8 +326,7 @@ def _kernels(spec: FieldSpec):
             return [sub(x, mul(f, y)) for x, y in zip(v, b)]
 
         def lanes(rows, k):
-            # inverse-free: above the table limit an inverse costs about
-            # 2 log2(q) polynomial products
+            # inverse-free: row <- a*row - f*prow for the lane's pivot a
             prow = rows[k]
             A = prow[k]
             for row in rows[k + 1 :]:

@@ -13,8 +13,9 @@ sweep that runs one rank kernel call per tuple, on small primes in place
 of the random ones, and its blocks, at every field size, to cover each
 completion once.  In the table class, where the flat sweep reaches one
 free entry only, the orbit blocks of two free entries are checked against
-one unsplit walk.  The sampler's lockstep elimination is checked against one
-kernel call per view.  Both sides of the kernel-counting identity, and the
+one unsplit walk, and so are the blocks of three and four free entries
+over GF(2, 3, 4, 5, 7, 8, 9, 25, 27).  The sampler's lockstep elimination
+is checked against one kernel call per view.  Both sides of the kernel-counting identity, and the
 adjacent rank pair, are checked against eliminations on materialized
 views.  Runs are derandomized, so every run draws the
 same examples.
@@ -165,6 +166,19 @@ def test_code_ops_match_polynomial_arithmetic(name):
     check()
 
 
+def test_inverse_above_the_table_limit_matches_fermat():
+    # inv_code runs the extended Euclidean algorithm there; a^(q-2) is the
+    # independent route
+    @PROPS
+    @given(fields("above-limit"), st.data())
+    def check(spec, data):
+        q = spec.order
+        for a in data.draw(st.lists(st.integers(1, q - 1), min_size=3, max_size=3)):
+            assert spec.inv_code(a) == spec._pow_code_raw(a, q - 2)
+
+    check()
+
+
 @pytest.mark.parametrize("q", BUILTIN_ORDERS)
 def test_builtin_code_ops_match_table_free_arithmetic(q):
     # every pair of every built-in extension field: the oracles in
@@ -192,6 +206,25 @@ def test_det_matches_leibniz(name):
         assert det(M) == oracles.leibniz_det(M)
 
     check()
+
+
+# a 5 x 5 matrix with a zero at (0, 0), so that elimination swaps rows
+# first, and with nonzero entries in every row of the first column, so
+# that every step has the fifth row to clear
+FULL_5X5 = ((0, 1, 3, 2, 2), (1, 1, 1, 2, 3), (2, 0, 3, 1, 3), (2, 2, 0, 1, 1), (3, 1, 1, 1, 0))
+
+
+@pytest.mark.parametrize("name", list(CLASSES))
+def test_det_of_a_fixed_full_rank_5x5(name):
+    # the random draws above hold too few 5 x 5 matrices with a pivot in
+    # every row to catch a step that skips the fifth row
+    p, d = (2**31 - 1, 1) if name == "prime" else CLASSES[name][0]
+    spec = first_irreducible(p, d)
+    data = tuple(spec.element(c) for row in FULL_5X5 for c in row)
+    M = DenseMatrix(spec, 5, 5, data)
+    expected = oracles.leibniz_det(M)
+    assert expected != spec.zero and oracles.minor_rank(M) == 5
+    assert det(M) == expected and rank_gauss(M) == 5
 
 
 @pytest.mark.parametrize("name", list(CLASSES))
@@ -492,7 +525,8 @@ def test_walk_matches_flat_sweep(name):
 @pytest.mark.parametrize("p, d", CLASSES["table"])
 def test_orbit_blocks_match_one_unsplit_walk(p, d):
     # past the flat sweep's reach: two free entries under a zero head run
-    # the (1, 0), (1, 1) and (0, 1) orbit blocks, whose weighted sum must
+    # the (1, 0) block, weighted q(q-1), or where p divides s+1 the (1, 0)
+    # and (1, 1) blocks, and the (0, 1) block; their weighted sum must
     # equal the walk of the whole completion set as one block
     spec = first_irreducible(p, d)
     for m, n in ((1, 2), (2, 2), (2, 3)):
@@ -505,17 +539,39 @@ def test_orbit_blocks_match_one_unsplit_walk(p, d):
             assert sum(whole) == spec.order**2
 
 
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9, 25, 27))
+def test_borel_blocks_match_one_unsplit_walk(q):
+    # three free entries or more under a zero head: the (1, 0) block is
+    # split by the square class of x_{s+2}, and it absorbs the (1, 1)
+    # block unless p divides s+1.  Both cases must be reached
+    spec = FieldSpec.from_order(q)
+    reached = set()
+    for free in (3, 4) if q <= 9 else (3,):
+        for m, n in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 3), (3, 4)):
+            k = m + n + 1 - free
+            if k < 0:
+                continue
+            reached |= {(s + 1) % spec.p == 0 for s in range(k, k + free - 1)}
+            views = [((m, n), min(m, n) + 1)]
+            views += [(_test_shape(m, n, r), r) for r in range(min(m, n) + 1)]
+            for shape, limit in views:
+                whole = _walk_block(spec, [0] * k, free, shape, limit)
+                assert _tally_ranks(spec, [0] * k, free, shape, limit, 10**9) == whole
+    assert reached == {False, True}
+
+
 @pytest.mark.parametrize("name", list(CLASSES))
 def test_walk_blocks_cover_every_completion_once(name):
-    # the blocks need only q, so every order of the class is checked, past
-    # the flat sweep's reach.  Block counts are left free
-    orders = (2, 3, 101, 2**16 + 1, 2**17 - 1) if name == "prime" else [
-        p**d for p, d in CLASSES[name]
+    # the blocks need only the field, so every field of the class is
+    # checked, past the flat sweep's reach.  Block counts are left free
+    specs = [FieldSpec(q) for q in (2, 3, 101, 2**16 + 1, 2**17 - 1)] if name == "prime" else [
+        first_irreducible(p, d) for p, d in CLASSES[name]
     ]
-    for q in orders:
+    for spec in specs:
+        q = spec.order
         for head in ([], [0, 0], [0, q - 1]):
             for free in range(9):
-                blocks, weights = _walk_blocks(q, head, free)
+                blocks, weights = _walk_blocks(spec, head, free)
                 assert len(blocks) == len(weights)
                 assert all(len(block) <= free for block in blocks)
                 size = [q ** (free - i) for i in range(free + 1)]

@@ -20,7 +20,7 @@ report per checked family.
 The estimator runs its trials in batches of _MC_BATCH.  Each trial's
 suffix is drawn on its own, from a splitmix64 counter keyed off the seed
 and the trial number.  Each batch is then decided by one lockstep
-elimination on the reduced view (hankel._lockstep_kernel), which
+elimination on the reduced view (hankel._lockstep_rank_le), which
 pivots every trial's view on its diagonal with one list comprehension
 per entry over the whole batch.  A view that meets a zero pivot is
 decided on its own, so the count is exactly that of one rank test per
@@ -100,9 +100,8 @@ from hankelcensus.hankel import (
     RowVector,
     SeqTuple,
     _hankel_code_rows,
-    _lockstep_kernel,
-    _rank_kernel,
-    _sub_mul_kernel,
+    _lockstep_rank_le,
+    _rank_codes,
     det,
     iter_seq_tuples,
     jt_matrix,
@@ -460,8 +459,8 @@ def _walk_block(
     stop = min(limit + 1, nrows)  # a rank that settles every completion
     last = nrows + ncols - 2  # index of the last entry
     fixed = len(head)
-    sub_mul = _sub_mul_kernel(spec)
-    mul, inv, neg, add = spec.mul_code, spec.inv_code, spec.neg_code, spec.add_code
+    ops = spec.ops
+    sub_mul, mul, inv, neg, add = ops.sub_mul, ops.mul, ops.inv, ops.neg, ops.add
     unit = [0] * (nrows - 1) + [1]
     tallies = [0] * (limit + 2)
     x = list(head) + [0] * free
@@ -530,6 +529,7 @@ def _walk_block(
             walk(t + 1, basis + [(piv, scaled + [mul(s, add(end, y))])], False)
 
     walk(0, [], False)
+    del walk  # it refers to itself: free it, x and the bases now, not in a gc pass
     return tallies
 
 
@@ -682,7 +682,7 @@ def monte_carlo_rank_le(
     so the estimate is reproducible across platforms and independent of
     any parallel schedule.  Trials run in batches of _MC_BATCH: each batch
     is drawn trial by trial and then decided by one lockstep elimination
-    (hankel._lockstep_kernel) on the reduced view, which gives exactly
+    (hankel._lockstep_rank_le) on the reduced view, which gives exactly
     the count that one rank test per trial would.
     """
     if trials < 1:
@@ -691,7 +691,6 @@ def monte_carlo_rank_le(
     m, n, r = query.m, query.n, query.r
     free = query.tuple_len - query.k
     rdeg, cdeg = _test_shape(m, n, r)
-    count_rank_le = _lockstep_kernel(spec)
     head = list(query.prefix.codes)
     base_key = _mix64(rng_seed & _MASK64)
     successes = 0
@@ -700,7 +699,7 @@ def monte_carlo_rank_le(
             head + _draw_codes(spec, _mix64((base_key + t * _GOLDEN) & _MASK64), free)
             for t in range(lo + 1, min(lo + _MC_BATCH, trials) + 1)
         ]
-        successes += count_rank_le(batch, rdeg, cdeg, r)
+        successes += _lockstep_rank_le(spec.ops, batch, rdeg, cdeg, r)
     p_hat = successes / trials
     stderr = sqrt(p_hat * (1.0 - p_hat) / trials)
     return MonteCarloEstimate(Fraction(successes, trials), stderr, successes, trials)
@@ -813,7 +812,6 @@ def suite_lemmas(
         )
     ]
     _check_cap(q ** (bound + 1), cap)
-    kern = _rank_kernel(field)
     shapes = [
         (p_, q_)
         for p_ in range(bound + 2)
@@ -833,7 +831,7 @@ def suite_lemmas(
                 return 0
             got = ranks.get((rd, cd))
             if got is None:
-                got = kern(_hankel_code_rows(codes, rd, cd), min(rd, cd) + 1)
+                got = _rank_codes(field, _hankel_code_rows(codes, rd, cd), min(rd, cd) + 1)
                 ranks[(rd, cd)] = got
             return got
 

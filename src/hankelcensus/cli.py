@@ -45,7 +45,7 @@ from hankelcensus.census import (
     target_stderr,
     verify,
 )
-from hankelcensus.gf import FieldSpec, parse_element, parse_field
+from hankelcensus.gf import FieldSpec, _decimal, parse_element, parse_field
 from hankelcensus.hankel import SeqTuple, row_reversal_sign
 from hankelcensus.ranklaw import rank_via_reduction
 
@@ -54,11 +54,16 @@ __all__ = ["main", "build_parser"]
 _SCHEMA_VERSION = 1
 
 
+def integer(text: str) -> int:
+    """An integer option: ASCII decimal digits after an optional '-', as in field specs."""
+    return _decimal(text, signed=True)
+
+
 def _default_cap() -> int:
     env = os.environ.get("HANKEL_CENSUS_CAP")
     if env is not None:
         try:
-            cap = int(env)
+            cap = integer(env)
         except ValueError:
             raise ValueError(f"HANKEL_CENSUS_CAP must be an integer, got {env!r}")
         if cap < 1:
@@ -137,8 +142,11 @@ def _emit(args, text: str) -> None:
     if getattr(args, "output", "-") in (None, "-"):
         sys.stdout.write(text)
     else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --output {args.output}: {exc.strerror or exc}") from exc
 
 
 def _emit_json(args, payload) -> None:
@@ -420,39 +428,39 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--output", default="-", help="output path (default stdout)")
         if cap:
-            p.add_argument("--cap", type=int, default=None, help="enumeration cap (default 10^7 or HANKEL_CENSUS_CAP)")
+            p.add_argument("--cap", type=integer, default=None, help="enumeration cap (default 10^7 or HANKEL_CENSUS_CAP)")
 
     p = sub.add_parser("rank", help="rank of a Hankel matrix from explicit entries")
     common(p)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=integer, required=True)
+    p.add_argument("--n", type=integer, required=True)
     p.add_argument("entries", help="comma-separated m+n+1 field elements")
     p.set_defaults(handler=_cmd_rank)
 
     p = sub.add_parser("count", help="count prefix completions with rank <= r")
     common(p, cap=True)
-    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--jobs", type=integer, default=1, help=_JOBS_HELP)
+    p.add_argument("--m", type=integer, required=True)
+    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--r", type=integer, required=True)
     p.add_argument("--prefix", default="", help="comma-separated fixed first entries")
     p.add_argument("--mode", choices=("formula", "brute", "both", "mc"), default="both")
-    p.add_argument("--trials", type=int, default=100000, help="Monte Carlo trials (mc mode)")
-    p.add_argument("--seed", type=int, default=0, help="Monte Carlo seed (mc mode)")
+    p.add_argument("--trials", type=integer, default=100000, help="Monte Carlo trials (mc mode)")
+    p.add_argument("--seed", type=integer, default=0, help="Monte Carlo seed (mc mode)")
     p.set_defaults(handler=_cmd_count)
 
     p = sub.add_parser("census", help="full rank histogram over prefix completions")
     common(p, formats=("text", "json", "csv"), cap=True)
-    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--jobs", type=integer, default=1, help=_JOBS_HELP)
+    p.add_argument("--m", type=integer, required=True)
+    p.add_argument("--n", type=integer, required=True)
     p.add_argument("--prefix", default="")
     p.set_defaults(handler=_cmd_census)
 
     p = sub.add_parser("jt", help="count singular Jacobi-Trudi matrices")
     common(p, cap=True)
-    p.add_argument("--u", type=int, required=True)
-    p.add_argument("--v", type=int, required=True)
+    p.add_argument("--u", type=integer, required=True)
+    p.add_argument("--v", type=integer, required=True)
     p.add_argument("--mode", choices=("formula", "brute", "both"), default="both")
     p.add_argument("--path", choices=("flip", "direct"), default="flip", help="brute-force route")
     p.add_argument("--show-flip", action="store_true", help="print the upside-down Hankel tuple pattern")
@@ -461,21 +469,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run property and counting suites")
     p.add_argument("--suite", choices=("all",) + SUITES, default="all")
     p.add_argument("--field", default="2,3", help="comma-separated field specs")
-    p.add_argument("--max-n", type=int, default=None, help="override the per-suite size bound")
+    p.add_argument("--max-n", type=integer, default=None, help="override the per-suite size bound")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--output", default="-")
-    p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
+    p.add_argument("--cap", type=integer, default=None)
+    p.add_argument("--jobs", type=integer, default=1, help=_JOBS_HELP)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("sample", help="seeded Monte Carlo estimate of the rank-bound probability")
     common(p)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--m", type=integer, required=True)
+    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--r", type=integer, required=True)
     p.add_argument("--prefix", default="")
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=integer, required=True)
+    p.add_argument("--seed", type=integer, default=0)
     p.set_defaults(handler=_cmd_sample)
 
     return parser

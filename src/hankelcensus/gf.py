@@ -5,19 +5,22 @@ c0 + c1*t + ... + c_{d-1}*t^{d-1} of GF(p)[t]/(modulus), every ci in
 [0, p), has the code in [0, Q), Q = p^d, whose little-endian base-p digits
 are (c0, c1, ..., c_{d-1}).  Its coefficient tuple is decoded on demand.
 Code order is the canonical enumeration order (0 first, 1 second, then
-t, 1+t, ... for GF(4)).  Element arithmetic (ff_add and the others) runs
-on the field's code operations (FieldSpec.add_code and the others).
+t, 1+t, ... for GF(4)).
+
+All arithmetic on codes is bound here, once per field: FieldSpec.ops is
+a CodeOps record of closures (add, sub, neg, mul, inv, the row update of
+elimination and the lane update of lockstep elimination), which the code
+methods (add_code and the others), the element arithmetic (ff_add and the
+others) and the kernels of the other modules call.  Prime fields compute
+mod p.  Extension fields up to order 2^16 use O(Q) discrete-log tables
+(_LogTables), built on first use, for products and inverses, and add by
+XOR for p = 2 and by Zech logarithms for odd p.  Larger ones multiply and
+reduce polynomials, invert by the extended Euclidean algorithm against
+the modulus, and add by XOR for p = 2 and digit by digit otherwise.
 
 Prime fields work for any prime p < 2^31.  Extension fields ship with
 fixed Conway moduli for Q in {4, 8, 9, 16, 25, 27, 32, 49, 64}; any other
 extension field needs an explicit irreducible modulus.
-
-Extension fields up to order 2^16 build O(Q) discrete-log tables on first
-use: antilogs and logs of a primitive element and, for odd p, Zech
-logarithms log(1 + g^n), so products, inverses and (odd p) sums are table
-lookups.  In characteristic 2 a sum is the XOR of codes.  Larger fields
-use polynomial and coefficient-wise arithmetic on the decoded codes, and
-invert by the extended Euclidean algorithm against the modulus.
 
 Field spec text format: "Q" for a built-in field (e.g. "9"), or
 "p^d:c0,c1,...,cd" with little-endian modulus coefficients.  Elements
@@ -28,7 +31,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from operator import xor
+from typing import Callable, NamedTuple, Sequence
 
 __all__ = [
     "FieldSpec",
@@ -227,6 +231,181 @@ class _LogTables(NamedTuple):
     zech: list[int]
 
 
+def _encode(coeffs: Sequence[int], p: int) -> int:
+    code = 0
+    for c in reversed(coeffs):
+        code = code * p + c
+    return code
+
+
+def _decode(code: int, p: int, d: int) -> tuple[int, ...]:
+    out = []
+    for _ in range(d):
+        code, c = divmod(code, p)
+        out.append(c)
+    return tuple(out)
+
+
+def _mul_codes(a: int, b: int, p: int, d: int, modulus: Sequence[int]) -> int:
+    """The product of two codes by polynomial multiplication and reduction."""
+    return _encode(_poly_mod(_poly_mul(_decode(a, p, d), _decode(b, p, d), p), modulus, p), p)
+
+
+class CodeOps(NamedTuple):
+    """The code operations of one field, bound once by FieldSpec.ops.
+
+    add, sub, neg, mul and inv act on codes; inv raises ZeroDivisionError
+    on 0.  sub_mul(v, f, b) returns v - f*b on code lists and accepts
+    f = 0.  lanes(rows, k), for rows[i][j] the list of entry (i, j) over
+    a batch of matrices, clears column k below row k without inverting
+    the pivots: it replaces rows[i][k+1:] for i > k, and a lane whose
+    pivot (k, k) is 0 comes out as garbage.
+    """
+
+    add: Callable[[int, int], int]
+    sub: Callable[[int, int], int]
+    neg: Callable[[int], int]
+    mul: Callable[[int, int], int]
+    inv: Callable[[int], int]
+    sub_mul: Callable[[list[int], int, list[int]], list[int]]
+    lanes: Callable[[list, int], None]
+
+
+def _prime_ops(p: int) -> CodeOps:
+    def inv(a):
+        if not a:
+            raise ZeroDivisionError(f"inversion of zero in GF({p})")
+        return pow(a, -1, p)
+
+    def sub_mul(v, f, b):
+        return [(x - f * y) % p for x, y in zip(v, b)]
+
+    def lanes(rows, k):
+        prow = rows[k]
+        A = prow[k]
+        for row in rows[k + 1 :]:
+            F = row[k]
+            row[k + 1 :] = [
+                [(a * x - f * y) % p for a, f, x, y in zip(A, F, X, Y)]
+                for X, Y in zip(row[k + 1 :], prow[k + 1 :])
+            ]
+
+    return CodeOps(
+        lambda a, b: (a + b) % p,
+        lambda a, b: (a - b) % p,
+        lambda a: -a % p,
+        lambda a, b: a * b % p,
+        inv,
+        sub_mul,
+        lanes,
+    )
+
+
+def _table_ops(tab: _LogTables) -> CodeOps:
+    exp, log, zech = tab
+    L = len(log) - 1
+    half = L // 2  # -1 = g^half
+    nil = 3 * L  # log[0]
+
+    def mul(a, b):
+        return exp[log[a] + log[b]]
+
+    def inv(a):
+        if not a:
+            raise ZeroDivisionError(f"inversion of zero in GF({L + 1})")
+        return exp[L - log[a]]
+
+    if not zech:  # p = 2: a sum is the XOR of codes, and -a = a
+
+        def sub_mul(v, f, b):
+            lf = log[f]
+            return [x ^ exp[lf + log[y]] for x, y in zip(v, b)]
+
+        def lanes(rows, k):
+            prow = rows[k]
+            la = [log[a] for a in prow[k]]
+            ly = [[log[y] for y in Y] for Y in prow[k + 1 :]]
+            for row in rows[k + 1 :]:
+                # log w for w = f/a, and log 0 where f = 0: exp reads 0 at
+                # log w + log y whenever either is log 0
+                lw = [(log[f] - l) % L if f else nil for f, l in zip(row[k], la)]
+                row[k + 1 :] = [
+                    [x ^ exp[w + y] for x, w, y in zip(X, lw, Y)]
+                    for X, Y in zip(row[k + 1 :], ly)
+                ]
+
+        return CodeOps(xor, xor, lambda a: a, mul, inv, sub_mul, lanes)
+
+    # odd p: x + w*y by Zech logarithms, reading the Zech table at
+    # c + log y - log x for c = 3L + log w; w = -1 is log w = half
+    def add(a, b):
+        la = log[a]
+        return exp[la + zech[nil + log[b] - la]]
+
+    def neg(a):
+        return exp[log[a] + half]
+
+    def sub_mul(v, f, b):
+        if not f:
+            return v
+        c = nil + (log[f] + half) % L
+        return [exp[(lx := log[x]) + zech[c + log[y] - lx]] for x, y in zip(v, b)]
+
+    def lanes(rows, k):
+        prow = rows[k]
+        la = [log[a] for a in prow[k]]
+        ly = [[log[y] for y in Y] for Y in prow[k + 1 :]]
+        for row in rows[k + 1 :]:
+            # c as in sub_mul for w = -f/a; 0 marks f = 0, where x stays
+            cw = [nil + (log[f] - l + half) % L if f else 0 for f, l in zip(row[k], la)]
+            row[k + 1 :] = [
+                [exp[(lx := log[x]) + zech[c + y - lx]] if c else x for x, c, y in zip(X, cw, Y)]
+                for X, Y in zip(row[k + 1 :], ly)
+            ]
+
+    return CodeOps(add, lambda a, b: add(a, neg(b)), neg, mul, inv, sub_mul, lanes)
+
+
+def _poly_ops(p: int, d: int, modulus: tuple[int, ...]) -> CodeOps:
+    def mul(a, b):
+        return _mul_codes(a, b, p, d, modulus)
+
+    def inv(a):
+        if not a:
+            raise ZeroDivisionError(f"inversion of zero in GF({p**d})")
+        return _encode(_poly_inv(_decode(a, p, d), modulus, p), p)
+
+    if p == 2:
+        add, sub, neg = xor, xor, lambda a: a
+    else:
+
+        def add(a, b):
+            return _encode([(x + y) % p for x, y in zip(_decode(a, p, d), _decode(b, p, d))], p)
+
+        def sub(a, b):
+            return _encode([(x - y) % p for x, y in zip(_decode(a, p, d), _decode(b, p, d))], p)
+
+        def neg(a):
+            return _encode([-x % p for x in _decode(a, p, d)], p)
+
+    def sub_mul(v, f, b):
+        return [sub(x, mul(f, y)) for x, y in zip(v, b)]
+
+    def lanes(rows, k):
+        # an inverse costs about two polynomial products here, so each lane
+        # sets row <- a*row - f*prow for its pivot a
+        prow = rows[k]
+        A = prow[k]
+        for row in rows[k + 1 :]:
+            F = row[k]
+            row[k + 1 :] = [
+                [sub(mul(a, x), mul(f, y)) for a, f, x, y in zip(A, F, X, Y)]
+                for X, Y in zip(row[k + 1 :], prow[k + 1 :])
+            ]
+
+    return CodeOps(add, sub, neg, mul, inv, sub_mul, lanes)
+
+
 class FieldSpec:
     """A concrete finite field GF(p^d) with canonical element encoding.
 
@@ -234,7 +413,7 @@ class FieldSpec:
     spec can be shared freely across threads.
     """
 
-    __slots__ = ("p", "d", "modulus", "order", "_tables", "_elements", "_hash")
+    __slots__ = ("p", "d", "modulus", "order", "_tables", "_ops", "_elements", "_hash")
 
     def __init__(self, p: int, d: int = 1, modulus: Sequence[int] | None = None):
         if not isinstance(p, int) or not _is_prime(p):
@@ -274,6 +453,7 @@ class FieldSpec:
         object.__setattr__(self, "modulus", tuple(modulus))
         object.__setattr__(self, "order", p**d)
         object.__setattr__(self, "_tables", None)
+        object.__setattr__(self, "_ops", None)
         object.__setattr__(self, "_elements", None)
         object.__setattr__(self, "_hash", hash((p, d, self.modulus)))
 
@@ -367,18 +547,10 @@ class FieldSpec:
     # -- integer-code arithmetic (hot-path friendly) --------------------
 
     def encode(self, coeffs: Sequence[int]) -> int:
-        code = 0
-        for c in reversed(coeffs):
-            code = code * self.p + c
-        return code
+        return _encode(coeffs, self.p)
 
     def decode(self, code: int) -> tuple[int, ...]:
-        p = self.p
-        out = []
-        for _ in range(self.d):
-            code, c = divmod(code, p)
-            out.append(c)
-        return tuple(out)
+        return _decode(code, self.p, self.d)
 
     @property
     def tables(self) -> _LogTables | None:
@@ -397,7 +569,7 @@ class FieldSpec:
         )
         powers = [1]
         for _ in range(L - 1):
-            powers.append(self._mul_code_raw(powers[-1], g))
+            powers.append(_mul_codes(powers[-1], g, p, self.d, self.modulus))
         log = [3 * L] * q
         for i, c in enumerate(powers):
             log[c] = i
@@ -410,65 +582,40 @@ class FieldSpec:
         object.__setattr__(self, "_tables", _LogTables(exp, log, zech))
         return self._tables
 
-    def _mul_code_raw(self, a: int, b: int) -> int:
-        prod = _poly_mul(self.decode(a), self.decode(b), self.p)
-        red = _poly_mod(prod, self.modulus, self.p)
-        red += [0] * (self.d - len(red))
-        return self.encode(red)
+    @property
+    def ops(self) -> CodeOps:
+        """The field's code operations, bound on first use (see CodeOps).
+
+        The closures capture p, the tables and the modulus, never the
+        spec, so a spec that is dropped is freed at once.
+        """
+        if self._ops is None:
+            if self.d == 1:
+                ops = _prime_ops(self.p)
+            elif self.tables is not None:
+                ops = _table_ops(self.tables)
+            else:
+                ops = _poly_ops(self.p, self.d, self.modulus)
+            object.__setattr__(self, "_ops", ops)
+        return self._ops
 
     def _pow_code_raw(self, a: int, e: int) -> int:
+        p, d, modulus = self.p, self.d, self.modulus
         out = 1
         while e > 0:
             if e & 1:
-                out = self._mul_code_raw(out, a)
-            a = self._mul_code_raw(a, a)
+                out = _mul_codes(out, a, p, d, modulus)
+            a = _mul_codes(a, a, p, d, modulus)
             e >>= 1
         return out
 
-    def add_code(self, a: int, b: int) -> int:
-        if self.d == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        tab = self.tables
-        if tab is not None:
-            exp, log, zech = tab
-            la = log[a]
-            return exp[la + zech[3 * (self.order - 1) + log[b] - la]]
-        p = self.p
-        return self.encode([(x + y) % p for x, y in zip(self.decode(a), self.decode(b))])
-
-    def sub_code(self, a: int, b: int) -> int:
-        return self.add_code(a, self.neg_code(b))
-
-    def neg_code(self, a: int) -> int:
-        if self.d == 1:
-            return -a % self.p
-        if self.p == 2:
-            return a
-        tab = self.tables
-        if tab is not None:  # -1 = g^(L/2)
-            return tab.exp[tab.log[a] + (self.order - 1) // 2]
-        p = self.p
-        return self.encode([-x % p for x in self.decode(a)])
-
-    def mul_code(self, a: int, b: int) -> int:
-        if self.d == 1:
-            return a * b % self.p
-        tab = self.tables
-        if tab is not None:
-            return tab.exp[tab.log[a] + tab.log[b]]
-        return self._mul_code_raw(a, b)
-
-    def inv_code(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError(f"inversion of zero in {self}")
-        if self.d == 1:
-            return pow(a, self.p - 2, self.p)
-        tab = self.tables
-        if tab is not None:
-            return tab.exp[self.order - 1 - tab.log[a]]
-        return self.encode(_poly_inv(self.decode(a), self.modulus, self.p))
+    # the code operations by their public names: each reads its closure in
+    # ops, so `add = spec.add_code` before a loop pays no lookup inside it
+    add_code = property(lambda self: self.ops.add)
+    sub_code = property(lambda self: self.ops.sub)
+    neg_code = property(lambda self: self.ops.neg)
+    mul_code = property(lambda self: self.ops.mul)
+    inv_code = property(lambda self: self.ops.inv)
 
 
 def _smallest_prime_factor(n: int) -> int:

@@ -10,28 +10,24 @@ The containers (SeqTuple, RowVector, DenseMatrix) hold their field and a
 tuple of integer element codes (see gf); a FieldElement is decoded only
 when an entry is read.  Internally rows are lists of codes.  Rank and
 determinant run one pivot loop: it finds each column's first nonzero
-entry below the rows already used, and hands it to one pivot step, which
-swaps that row up and subtracts (f/a)*prow from each row below.  The step
-is built once per field on the field's row update v - w*b (mod p for
-prime fields, log tables with XOR for p = 2 or Zech logarithms for odd p,
-the code operations above the table limit), which incremental
-elimination uses on its own (_sub_mul_kernel).  The step keeps the
-determinant, so det() runs it too and tracks the pivot product and swap
-sign.  The lane update of lockstep elimination (_lockstep_kernel), which
-decides "rank <= limit" for a whole batch of tuples at once, is the only
-inverse-free update: each view entry is held as one list over the batch,
-every update is one list comprehension over all the tuples, and a view
-with a zero pivot falls back to the pivot step.
+entry below the rows already used, and hands it to one pivot step
+(_clear), which swaps that row up and subtracts (f/a)*prow from each row
+below; det() wraps the step to track the pivot product and swap sign.
+Lockstep elimination (_lockstep_rank_le) decides "rank <= limit" for a
+whole batch of tuples at once: each view entry is one list over the
+batch, cleared by the field's inverse-free lane update, and a view with a
+zero pivot falls back to the pivot loop.  All of this runs on the
+operations gf binds once per field (FieldSpec.ops); this module has no
+field arithmetic of its own.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, partial
 from typing import Iterator, Sequence
 
-from hankelcensus.gf import FieldElement, FieldSpec
+from hankelcensus.gf import CodeOps, FieldElement, FieldSpec
 
 __all__ = [
     "SeqTuple",
@@ -229,16 +225,28 @@ class DenseMatrix:
         )
 
 
-# ----------------------------------------------------------------------
-# Elimination on integer-code rows.  One pivot loop serves every field; a
-# step bound once per field swaps the pivot row up and clears its column
-# in every row below.  Both mutate `rows`.  `limit` stops the pivot hunt
-# early: the rank returned is exact when it is <= limit, and limit+1 means
-# "rank exceeds limit".
-# ----------------------------------------------------------------------
+def _clear(ops: CodeOps, rows: list[list[int]], top: int, piv: int, col: int) -> None:
+    """Swap row piv up to top and clear column col below it; det stays as it is."""
+    rows[top], rows[piv] = rows[piv], rows[top]
+    prow = rows[top]
+    # above the table limit an inverse costs about two polynomial
+    # products, so the pivot is inverted at the first row to clear (0
+    # marks "not yet"), and never when there is none
+    pinv = 0
+    for i in range(top + 1, len(rows)):
+        f = rows[i][col]
+        if f:
+            if not pinv:
+                pinv = ops.inv(prow[col])
+            rows[i] = ops.sub_mul(rows[i], ops.mul(f, pinv), prow)
 
 
-def _pivot_loop(step, rows: list[list[int]], limit: int) -> int:
+def _pivot_loop(ops: CodeOps, rows: list[list[int]], limit: int, step=_clear) -> int:
+    """The rank of the code rows, which each pivot's step mutates.
+
+    `limit` stops the pivot hunt early: the rank returned is exact when it
+    is <= limit, and limit+1 means "rank exceeds limit".
+    """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     rank = 0
@@ -250,168 +258,16 @@ def _pivot_loop(step, rows: list[list[int]], limit: int) -> int:
             continue
         if rank >= limit:
             return rank + 1
-        step(rows, rank, piv, col)
+        step(ops, rows, rank, piv, col)
         rank += 1
         if rank == nrows:
             break
     return rank
 
 
-def _pivot_step(mul, inv, sub_mul):
-    """The step row_i <- row_i - (f/a)*prow, built on the field's row update."""
-
-    def step(rows, top, piv, col):
-        rows[top], rows[piv] = rows[piv], rows[top]
-        prow = rows[top]
-        # above the table limit an inverse costs about two polynomial
-        # products, so the pivot is inverted at the first row to clear (0
-        # marks "not yet"), and never when there is none
-        pinv = 0
-        for i in range(top + 1, len(rows)):
-            f = rows[i][col]
-            if f:
-                if not pinv:
-                    pinv = inv(prow[col])
-                rows[i] = sub_mul(rows[i], mul(f, pinv), prow)
-
-    return step
-
-
-@lru_cache(maxsize=16)
-def _kernels(spec: FieldSpec):
-    """Bind, once per field, the pivot step, the row update and the lane update.
-
-    The row update (v, f, b) -> v - f*b on code lists serves incremental
-    elimination; it leaves v and b as they are and accepts f = 0.  The
-    pivot step is built on it and the field's product and inverse, and
-    leaves the determinant as it is, so one step serves rank, det and the
-    lockstep fallback.  The lane update lanes(rows, k) serves lockstep
-    elimination: rows[i][j] is the list of entry (i, j) over a batch of
-    matrices, and it pivots every matrix on its entry (k, k), clearing
-    column k below row k.  It alone inverts no pivot: mod p and above the
-    table limit it sets row_i <- a*row_i - f*prow for pivot a, and with
-    log tables it reads log(f/a) as log f - log a.  It replaces
-    rows[i][k+1:] for i > k and leaves rows[i][k] as it is (it reads as
-    zero from then on).  A lane whose pivot is 0 comes out as garbage,
-    which the caller must decide some other way.  All three work in one
-    representation: arithmetic mod p for prime fields, log tables
-    (gf._LogTables) with XOR sums for p = 2 or Zech sums for odd p, and
-    the code operations above the table limit.  The bindings of the
-    fields used last are kept, a bounded number so that user-supplied
-    fields are not kept forever.
-    """
-    if spec.d == 1:
-        p = spec.p
-
-        def sub_mul(v, f, b):
-            return [(x - f * y) % p for x, y in zip(v, b)]
-
-        def lanes(rows, k):
-            prow = rows[k]
-            A = prow[k]
-            for row in rows[k + 1 :]:
-                F = row[k]
-                row[k + 1 :] = [
-                    [(a * x - f * y) % p for a, f, x, y in zip(A, F, X, Y)]
-                    for X, Y in zip(row[k + 1 :], prow[k + 1 :])
-                ]
-
-        step = _pivot_step(lambda a, b: a * b % p, lambda a: pow(a, -1, p), sub_mul)
-        return step, sub_mul, lanes
-    tab = spec.tables
-    if tab is None:
-        sub, mul = spec.sub_code, spec.mul_code
-
-        def sub_mul(v, f, b):
-            return [sub(x, mul(f, y)) for x, y in zip(v, b)]
-
-        def lanes(rows, k):
-            # inverse-free: row <- a*row - f*prow for the lane's pivot a
-            prow = rows[k]
-            A = prow[k]
-            for row in rows[k + 1 :]:
-                F = row[k]
-                row[k + 1 :] = [
-                    [sub(mul(a, x), mul(f, y)) for a, f, x, y in zip(A, F, X, Y)]
-                    for X, Y in zip(row[k + 1 :], prow[k + 1 :])
-                ]
-
-        return _pivot_step(mul, spec.inv_code, sub_mul), sub_mul, lanes
-    exp, log, zech = tab
-    L = len(log) - 1
-    half = L // 2  # -1 = g^half
-    nil = 3 * L  # log[0]
-
-    def mul(a, b):
-        return exp[log[a] + log[b]]
-
-    def inv(a):
-        return exp[L - log[a]]
-
-    if not zech:  # p = 2: subtraction is XOR
-
-        def sub_mul(v, f, b):
-            if not f:
-                return v
-            lf = log[f]
-            return [x ^ exp[lf + log[y]] for x, y in zip(v, b)]
-
-        def lanes(rows, k):
-            prow = rows[k]
-            la = [log[a] for a in prow[k]]
-            ly = [[log[y] for y in Y] for Y in prow[k + 1 :]]
-            for row in rows[k + 1 :]:
-                # log w for w = f/a, and log 0 where f = 0: exp reads 0 at
-                # log w + log y whenever either is log 0
-                lw = [(log[f] - l) % L if f else nil for f, l in zip(row[k], la)]
-                row[k + 1 :] = [
-                    [x ^ exp[w + y] for x, w, y in zip(X, lw, Y)]
-                    for X, Y in zip(row[k + 1 :], ly)
-                ]
-
-        return _pivot_step(mul, inv, sub_mul), sub_mul, lanes
-
-    # odd p: add w*y for w = -f by Zech logarithms, reading the Zech table
-    # at c + log y - log x, c = 3L + log w
-    def sub_mul(v, f, b):
-        if not f:
-            return v
-        c = 3 * L + (log[f] + half) % L
-        return [exp[(lx := log[x]) + zech[c + log[y] - lx]] for x, y in zip(v, b)]
-
-    def lanes(rows, k):
-        prow = rows[k]
-        la = [log[a] for a in prow[k]]
-        ly = [[log[y] for y in Y] for Y in prow[k + 1 :]]
-        for row in rows[k + 1 :]:
-            # c as in sub_mul for w = -f/a; 0 marks f = 0, where x stays
-            cw = [nil + (log[f] - l + half) % L if f else 0 for f, l in zip(row[k], la)]
-            row[k + 1 :] = [
-                [exp[(lx := log[x]) + zech[c + y - lx]] if c else x for x, c, y in zip(X, cw, Y)]
-                for X, Y in zip(row[k + 1 :], ly)
-            ]
-
-    return _pivot_step(mul, inv, sub_mul), sub_mul, lanes
-
-
-def _rank_kernel(spec: FieldSpec):
-    """Bind the pivot loop to this field's step once, for hot loops.
-
-    The returned function takes (rows, limit) and mutates rows.
-    """
-    return partial(_pivot_loop, _kernels(spec)[0])
-
-
-def _sub_mul_kernel(spec: FieldSpec):
-    """Bind (v, f, b) -> v - f*b on code lists, for incremental elimination."""
-    return _kernels(spec)[1]
-
-
 def _rank_codes(spec: FieldSpec, rows: list[list[int]], limit: int | None = None) -> int:
-    cap = min(len(rows), len(rows[0]) if rows else 0)
-    if limit is None or limit > cap:
-        limit = cap
-    return _pivot_loop(_kernels(spec)[0], rows, limit)
+    # the rank never exceeds the row count, so that limit stops nothing
+    return _pivot_loop(spec.ops, rows, len(rows) if limit is None else limit)
 
 
 def _hankel_code_rows(codes: Sequence[int], rdeg: int, cdeg: int) -> list[list[int]]:
@@ -420,8 +276,16 @@ def _hankel_code_rows(codes: Sequence[int], rdeg: int, cdeg: int) -> list[list[i
     return [list(codes[i : i + ncols]) for i in range(rdeg + 1)]
 
 
-def _lockstep_rank_le(step, lanes, batch, rdeg: int, cdeg: int, limit: int) -> int:
-    # how many tuples of batch have a (rdeg, cdeg) view of rank <= limit
+def _lockstep_rank_le(ops: CodeOps, batch, rdeg: int, cdeg: int, limit: int) -> int:
+    """How many tuples of batch have a (rdeg, cdeg) Hankel view of rank <= limit.
+
+    batch is a sequence of code tuples of length at least rdeg+cdeg+1,
+    and ops the operations of their field.  Every view is pivoted on its
+    diagonal entries (k, k), k < limit, one lane update per step for the
+    whole batch.  A view with a zero pivot on the way is decided on its
+    own by the pivot loop; every other one has rank <= limit exactly when
+    the block from row and column `limit` on is zero.
+    """
     nrows, ncols = rdeg + 1, cdeg + 1
     if min(nrows, ncols) <= limit:
         return len(batch)
@@ -432,32 +296,15 @@ def _lockstep_rank_le(step, lanes, batch, rdeg: int, cdeg: int, limit: int) -> i
         piv = rows[k][k]
         if 0 in piv:
             irregular.update(b for b, a in enumerate(piv) if not a)
-        lanes(rows, k)
+        ops.lanes(rows, k)
     # Every step of a regular lane is an invertible row operation, and its
     # first `limit` rows now have nonzero pivots on the diagonal, so its
     # rank is limit plus the rank of the block below and right of them
     rest = [col for row in rows[limit:] for col in row[limit:]]
     flags = [not any(v) for v in zip(*rest)]
     for b in irregular:
-        x = batch[b]
-        flags[b] = _pivot_loop(step, _hankel_code_rows(x, rdeg, cdeg), limit) <= limit
+        flags[b] = _pivot_loop(ops, _hankel_code_rows(batch[b], rdeg, cdeg), limit) <= limit
     return sum(flags)
-
-
-def _lockstep_kernel(spec: FieldSpec):
-    """Bind lockstep elimination to this field once, for the sampler.
-
-    The returned function takes (batch, rdeg, cdeg, limit), where batch
-    is a sequence of code tuples of length at least rdeg+cdeg+1, and
-    returns how many of them have a (rdeg, cdeg) Hankel view of rank <=
-    limit.  It pivots every view on its diagonal entries (k, k), k <
-    limit, one lane update per step for the whole batch.  A view with a
-    zero pivot on the way is decided on its own by the pivot loop; every
-    other one has rank <= limit exactly when the block from row and
-    column `limit` on is zero.
-    """
-    step, _, lanes = _kernels(spec)
-    return partial(_lockstep_rank_le, step, lanes)
 
 
 # ----------------------------------------------------------------------
@@ -489,17 +336,16 @@ def det(M: DenseMatrix) -> FieldElement:
     if M.rows != M.cols:
         raise ValueError(f"determinant needs a square matrix, got {M.rows}x{M.cols}")
     spec = M.field
-    clear = _kernels(spec)[0]
     acc = 1  # pivot product, negated per row swap
 
-    def step(rows, top, piv, col):
+    def step(ops, rows, top, piv, col):
         nonlocal acc
-        acc = spec.mul_code(acc, rows[piv][col])
+        acc = ops.mul(acc, rows[piv][col])
         if piv != top:
-            acc = spec.neg_code(acc)
-        clear(rows, top, piv, col)
+            acc = ops.neg(acc)
+        _clear(ops, rows, top, piv, col)
 
-    if _pivot_loop(step, M.code_rows(), M.rows) < M.rows:
+    if _pivot_loop(spec.ops, M.code_rows(), M.rows, step) < M.rows:
         return spec.zero
     return spec.element(acc)
 
@@ -560,7 +406,7 @@ def vec_mat_mul(v: RowVector, M: DenseMatrix) -> RowVector:
     if v.field != M.field:
         raise ValueError("vector and matrix live in different fields")
     spec = M.field
-    add, mul = spec.add_code, spec.mul_code
+    add, mul = spec.ops.add, spec.ops.mul
     out = []
     for j in range(M.cols):
         acc = 0

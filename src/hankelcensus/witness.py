@@ -64,7 +64,7 @@ def _annihilates_codes(
     spec: FieldSpec, vcodes: tuple[int, ...], xcodes: tuple[int, ...], ncols: int
 ) -> bool:
     # v . (Hankel view with `ncols` columns) == 0, evaluated on codes
-    add, mul = spec.add_code, spec.mul_code
+    add, mul = spec.ops.add, spec.ops.mul
     width = len(vcodes)
     for t in range(ncols):
         acc = 0
@@ -140,9 +140,9 @@ def solve_tail(v: RowVector, head: SeqTuple, n: int) -> SeqTuple:
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     spec = v.field
-    add, mul, neg = spec.add_code, spec.mul_code, spec.neg_code
+    add, mul, neg = spec.ops.add, spec.ops.mul, spec.ops.neg
     vcodes = v.codes
-    vm_inv = spec.inv_code(vcodes[m])
+    vm_inv = spec.ops.inv(vcodes[m])
     x = list(head.codes)
     for t in range(n + 1):
         acc = 0
@@ -232,7 +232,7 @@ def beta(x: SeqTuple, ctx: NiceContext) -> tuple[FieldElement, SeqTuple]:
     if not is_weakly_nice(x, ctx):
         raise ValueError("beta needs a weakly nice input tuple")
     spec = ctx.field
-    add, mul = spec.add_code, spec.mul_code
+    add, mul = spec.ops.add, spec.ops.mul
     vcodes = ctx.v.codes
     xcodes = x.codes
     j, n = ctx.j, ctx.n
@@ -241,7 +241,7 @@ def beta(x: SeqTuple, ctx: NiceContext) -> tuple[FieldElement, SeqTuple]:
         vi = vcodes[i]
         if vi:
             acc = add(acc, mul(vi, xcodes[n + 1 + i]))
-    z = mul(spec.neg_code(acc), spec.inv_code(vcodes[j]))
+    z = mul(spec.ops.neg(acc), spec.ops.inv(vcodes[j]))
     pos = j + n + 1
     return x[pos], SeqTuple.from_codes(spec, xcodes[:pos] + (z,) + xcodes[pos + 1 :])
 

@@ -4,8 +4,10 @@ Everything here deliberately avoids Gaussian elimination: determinants
 come from the permutation-sum formula, ranks from nonvanishing minors,
 and kernel counts from literal enumeration of row vectors.
 
-Their arithmetic is FieldElement arithmetic, which runs on the field's
-code operations, and so on log tables for extension fields up to 2^16.
+Their arithmetic is FieldElement arithmetic.  It runs on the code
+operations that gf binds once per field (FieldSpec.ops), the same
+closures the library's elimination kernels use, and so on log tables for
+extension fields up to 2^16.
 test_properties.test_builtin_code_ops_match_table_free_arithmetic ties it
 to table-free arithmetic (digit-wise sums mod p, polynomial products) on
 every pair of elements of every built-in extension field, and

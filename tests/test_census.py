@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 from fractions import Fraction
 
 import pytest
 
+import oracles
 from hankelcensus import census, ranklaw
 from hankelcensus.census import (
     CapExceededError,
@@ -27,13 +29,18 @@ from hankelcensus.census import (
     verify,
 )
 from hankelcensus.census import _GOLDEN, _draw_codes, _mix64, _test_shape
-from hankelcensus.gf import FieldSpec
+from hankelcensus.gf import FieldSpec, parse_field
 from hankelcensus.hankel import (
+    HankelShape,
     RowVector,
     SeqTuple,
     _hankel_code_rows,
-    _rank_kernel,
+    _lockstep_rank_le,
+    _rank_codes,
+    det,
     iter_seq_tuples,
+    materialize_hankel,
+    rank_gauss,
 )
 
 F2 = FieldSpec(2)
@@ -215,6 +222,29 @@ def test_jt_paths_agree():
         brute_count_jt_singular(F2, 2, 2, path="weird")
 
 
+def test_walks_and_dropped_fields_leave_no_cyclic_garbage():
+    # reference counting alone frees a finished walk, and a spec with its
+    # bound operations, so the cyclic collector finds nothing afterwards
+    fields = ("5", "4", "9", "2^17:1,0,0,1" + ",0" * 13 + ",1", "3^11:2,0,1" + ",0" * 8 + ",1")
+    gc.collect()
+    gc.disable()
+    try:
+        brute_census(F3, 2, 2)
+        brute_count_jt_singular(FieldSpec.from_order(4), 2, 3)
+        assert gc.collect() == 0
+        for text in fields:
+            spec = parse_field(text)
+            x = seq(spec, [1, 2, 3, 1, 0])
+            M = materialize_hankel(x, HankelShape(2, 2))
+            assert rank_gauss(M) == oracles.minor_rank(M)
+            assert det(M) == oracles.leibniz_det(M)
+            assert _lockstep_rank_le(spec.ops, [x.codes], 2, 2, 2) == (rank_gauss(M) <= 2)
+            del spec, x, M
+            assert gc.collect() == 0, text
+    finally:
+        gc.enable()
+
+
 # -- Monte Carlo ---------------------------------------------------------
 
 
@@ -278,13 +308,12 @@ def test_draw_codes_above_2_64_use_two_words():
 def reference_monte_carlo(query, trials, seed):
     """One draw and one rank kernel call per trial, as before batching."""
     rdeg, cdeg = _test_shape(query.m, query.n, query.r)
-    kern = _rank_kernel(query.field)
     free = query.tuple_len - query.k
     base = _mix64(seed)
     successes = 0
     for t in range(1, trials + 1):
         x = list(query.prefix.codes) + _draw_codes(query.field, _mix64(base + t * _GOLDEN), free)
-        successes += kern(_hankel_code_rows(x, rdeg, cdeg), query.r) <= query.r
+        successes += _rank_codes(query.field, _hankel_code_rows(x, rdeg, cdeg), query.r) <= query.r
     return successes
 
 
@@ -553,15 +582,10 @@ def test_adjacent_rank_reports_one_wrong_view(monkeypatch):
     # wide-le-tall and equal fail there; as the tall view of shape (0, 3) it
     # is saturated and still passes, and rank <= 0 stays false for the
     # reduction
-    def wrong(real, spec):
-        kern = real(spec)
+    def wrong(real, spec, rows, limit):
+        return 2 if rows == [[1, 0, 0]] else real(spec, rows, limit)
 
-        def faulty(rows, limit):
-            return 2 if rows == [[1, 0, 0]] else kern(rows, limit)
-
-        return faulty
-
-    clean, faulted = faulted_reports(monkeypatch, "lemmas", 2, "_rank_kernel", wrong)
+    clean, faulted = faulted_reports(monkeypatch, "lemmas", 2, "_rank_codes", wrong)
     changed = {"adjacent-rank/wide-le-tall", "adjacent-rank/equal"}
     assert_one_violation(clean, faulted, changed, "shape=(1,2) x=(1, 0, 0)")
 

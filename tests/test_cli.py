@@ -459,6 +459,45 @@ def test_output_file(tmp_path, capsys):
     assert record["observed"] == "4"
 
 
+def test_output_to_unwritable_path_exits_2(tmp_path, capsys):
+    # a usage error, not the exit 1 of a verification mismatch
+    target = tmp_path / "missing" / "report.txt"
+    code, out, err = run_cli(
+        capsys, "rank", "--field", "2", "--m", "1", "--n", "1", "--output", str(target), "0,1,1"
+    )
+    assert code == 2 and out == "" and err.startswith("error: cannot write --output")
+    assert not target.parent.exists()
+
+
+def test_integer_options_take_ascii_decimals_only(capsys, monkeypatch):
+    # the rule of field specs: no '_', '+', spaces or digits of other scripts
+    count = ["count", "--field", "2", "--m", "1", "--n", "1", "--r", "1", "--mode", "brute"]
+    for flag, bad in (("--n", "1_0"), ("--m", "\u0663"), ("--r", "+1"), ("--cap", " 9"), ("--seed", "1_0")):
+        argv = count + [flag, bad]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert f"invalid integer value: {bad!r}" in capsys.readouterr().err
+    monkeypatch.setenv("HANKEL_CENSUS_CAP", "1_000")
+    code, out, err = run_cli(capsys, *count)
+    assert code == 2 and out == "" and "HANKEL_CENSUS_CAP must be an integer" in err
+    monkeypatch.setenv("HANKEL_CENSUS_CAP", "-4")
+    code, out, err = run_cli(capsys, *count)
+    assert code == 2 and out == "" and "HANKEL_CENSUS_CAP must be >= 1" in err
+    monkeypatch.delenv("HANKEL_CENSUS_CAP")
+    # negative values still reach the range checks and their messages
+    for flag, message in (("--jobs", "--jobs must be >= 1"), ("--cap", "--cap must be >= 1")):
+        code, out, err = run_cli(capsys, *count, flag, "-1")
+        assert code == 2 and out == "" and message in err
+
+
+def test_sample_negative_seed(capsys):
+    argv = ["sample", "--field", "5", "--m", "2", "--n", "2", "--r", "1", "--trials", "300"]
+    code, out, _ = run_cli(capsys, *argv, "--seed", "-3")
+    assert code == 0 and "seed=-3" in out
+    assert run_cli(capsys, *argv, "--seed", "-3")[:2] == (code, out)
+
+
 def test_jobs_defaults_to_one_and_rejects_zero(capsys):
     # the flag is accepted and ignored, but it is still validated
     parser = build_parser()

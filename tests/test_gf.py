@@ -25,6 +25,7 @@ from hankelcensus.gf import (
 AXIOM_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 
 GF2_17 = "2^17:1,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,1"
+GF3_11 = "3^11:2,0,1,0,0,0,0,0,0,0,0,1"
 
 
 def test_builtin_orders_construct():
@@ -102,11 +103,19 @@ def test_inv_examples():
     # from t*t = 1+t it follows that t*(1+t) = t^2+t = 1
     f4 = FieldSpec.from_order(4)
     assert ff_inv(f4.element(2)) == f4.element((1, 1))
-    for spec in (f5, f2, f4, parse_field(GF2_17), FieldSpec(2**31 - 1)):
+    # every field class: mod p, log tables with XOR or Zech sums, and
+    # polynomial arithmetic above 2^16 for p = 2 and odd p; the bound
+    # inverse raises too, not only the element and code operations
+    f9, big = FieldSpec.from_order(9), FieldSpec(2**31 - 1)
+    for spec in (f5, f2, f4, f9, parse_field(GF2_17), parse_field(GF3_11), big):
         with pytest.raises(ZeroDivisionError):
             ff_inv(spec.zero)
         with pytest.raises(ZeroDivisionError):
             spec.one / spec.zero
+        with pytest.raises(ZeroDivisionError):
+            spec.ops.inv(0)
+        a = spec.order - 1
+        assert spec.ops.mul(spec.ops.inv(a), a) == 1
 
 
 def test_mismatched_fields_rejected():
@@ -262,6 +271,17 @@ def test_element_rejects_out_of_range_codes_and_coefficients():
             spec.element(bad)
     assert f5.element(4) == f5.element((4,))
     assert f9.element(8) == f9.element((2, 2))
+
+
+def test_operations_are_bound_once_and_lazily():
+    # building a spec binds nothing and builds no table; the first use
+    # binds one record, which every later use reads
+    for text in ("101", "64", "9", GF2_17, GF3_11):
+        spec = parse_field(text)
+        assert spec._tables is None and spec._ops is None
+        ops = spec.ops
+        assert spec.ops is ops and spec._ops is ops
+        assert spec.add_code(1, 1) == ops.add(1, 1)
 
 
 def test_log_tables_are_linear_size():

@@ -24,6 +24,7 @@ same examples.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,17 +37,16 @@ from hankelcensus.gf import (
     FieldSpec,
     _is_irreducible,
     _is_prime,
+    _mul_codes,
 )
 from hankelcensus.hankel import (
     DenseMatrix,
     HankelShape,
     SeqTuple,
     _hankel_code_rows,
-    _lockstep_kernel,
+    _lockstep_rank_le,
     _pivot_loop,
     _rank_codes,
-    _rank_kernel,
-    _sub_mul_kernel,
     det,
     materialize_hankel,
     rank_gauss,
@@ -131,9 +131,9 @@ def test_tables_exist_only_for_extensions_within_the_limit(name):
 def check_code_ops(spec, a, b):
     """Code operations, and the element operations built on them, against
     table-free arithmetic: digit-wise sums mod p, and products by
-    polynomial multiplication and reduction (_mul_code_raw)."""
+    polynomial multiplication and reduction (gf._mul_codes)."""
     p = spec.p
-    raw_mul = spec._mul_code_raw if spec.d > 1 else (lambda x, y: x * y % p)
+    raw_mul = partial(_mul_codes, p=p, d=spec.d, modulus=spec.modulus)
     da, db = spec.decode(a), spec.decode(b)
     ea, eb = spec.element(a), spec.element(b)
     add = spec.encode([(x + y) % p for x, y in zip(da, db)])
@@ -234,7 +234,7 @@ def test_kernel_limit_reports_excess(name):
     def check(M, limit):
         rank = oracles.minor_rank(M)
         expected = rank if rank <= limit else limit + 1
-        assert _rank_kernel(M.field)(M.code_rows(), limit) == expected
+        assert _pivot_loop(M.field.ops, M.code_rows(), limit) == expected
         assert _rank_codes(M.field, M.code_rows(), limit) == expected
 
     check()
@@ -249,7 +249,7 @@ def test_empty_shapes(name):
         for rows, cols in ((0, 0), (0, 3), (3, 0)):
             M = DenseMatrix(spec, rows, cols, ())
             assert rank_gauss(M) == oracles.minor_rank(M) == 0
-            assert _rank_kernel(spec)(M.code_rows(), limit) == 0
+            assert _pivot_loop(spec.ops, M.code_rows(), limit) == 0
             assert _rank_codes(spec, M.code_rows(), limit) == 0
         M = DenseMatrix(spec, 0, 0, ())
         assert det(M) == oracles.leibniz_det(M) == spec.one
@@ -257,19 +257,15 @@ def test_empty_shapes(name):
     check()
 
 
-def reference_step(spec):
+def reference_step(ops, rows, top, piv, col):
     """row_i <- row_i - (f/a)*prow through the field's code operations only."""
-    sub, mul, inv = spec.sub_code, spec.mul_code, spec.inv_code
-
-    def step(rows, top, piv, col):
-        rows[top], rows[piv] = rows[piv], rows[top]
-        prow = rows[top]
-        pinv = inv(prow[col])
-        for i in range(top + 1, len(rows)):
-            f = mul(rows[i][col], pinv)
-            rows[i] = [sub(x, mul(f, y)) for x, y in zip(rows[i], prow)]
-
-    return step
+    sub, mul = ops.sub, ops.mul
+    rows[top], rows[piv] = rows[piv], rows[top]
+    prow = rows[top]
+    pinv = ops.inv(prow[col])
+    for i in range(top + 1, len(rows)):
+        f = mul(rows[i][col], pinv)
+        rows[i] = [sub(x, mul(f, y)) for x, y in zip(rows[i], prow)]
 
 
 @pytest.mark.parametrize("name", list(CLASSES))
@@ -281,8 +277,8 @@ def test_log_kernel_matches_generic_elimination(name):
     def check(M):
         limit = min(M.rows, M.cols)
         expected_rows, rows = M.code_rows(), M.code_rows()
-        expected = _pivot_loop(reference_step(M.field), expected_rows, limit)
-        assert _rank_kernel(M.field)(rows, limit) == expected
+        expected = _pivot_loop(M.field.ops, expected_rows, limit, reference_step)
+        assert _pivot_loop(M.field.ops, rows, limit) == expected
         assert rows == expected_rows
 
     check()
@@ -298,7 +294,7 @@ def test_sub_mul_kernel_matches_code_operations(name):
         v = data.draw(st.lists(codes, min_size=size, max_size=size))
         b = data.draw(st.lists(codes, min_size=size, max_size=size))
         f = data.draw(st.one_of(st.just(0), codes))
-        assert _sub_mul_kernel(spec)(v, f, b) == [
+        assert spec.ops.sub_mul(v, f, b) == [
             spec.sub_code(x, spec.mul_code(f, y)) for x, y in zip(v, b)
         ]
 
@@ -386,8 +382,8 @@ def lockstep_cases(draw, name):
 
 
 def one_call_per_view(spec, batch, rdeg, cdeg, limit):
-    kern = _rank_kernel(spec)
-    return sum(kern(_hankel_code_rows(x, rdeg, cdeg), limit) <= limit for x in batch)
+    rows = (_hankel_code_rows(x, rdeg, cdeg) for x in batch)
+    return sum(_pivot_loop(spec.ops, r, limit) <= limit for r in rows)
 
 
 @pytest.mark.parametrize("name", list(CLASSES))
@@ -396,7 +392,7 @@ def test_lockstep_matches_one_kernel_call_per_view(name):
     @given(lockstep_cases(name))
     def check(case):
         spec, batch, rdeg, cdeg, limit = case
-        count = _lockstep_kernel(spec)
+        count = partial(_lockstep_rank_le, spec.ops)
         assert count(batch, rdeg, cdeg, limit) == one_call_per_view(spec, batch, rdeg, cdeg, limit)
         # lane by lane too, so that errors cannot cancel in the sum
         for x in batch:
@@ -426,7 +422,7 @@ def test_lockstep_decides_zero_pivots_and_zero_multipliers(name):
             [a, neg(a), a, neg(a), a],  # rank 1
             [a, b, c, a, b],
         ]
-        count = _lockstep_kernel(spec)
+        count = partial(_lockstep_rank_le, spec.ops)
         for limit in (0, 1, 2, 3):
             assert count(batch, 2, 2, limit) == one_call_per_view(spec, batch, 2, 2, limit)
             for x in batch:  # batches of one
@@ -439,11 +435,10 @@ def flat_tallies(spec, head, free, shape, limit):
     """The per-tuple sweep the walk replaced: one kernel call per completion."""
     nrows, ncols = shape[0] + 1, shape[1] + 1
     limit = min(limit, nrows, ncols)
-    kern = _rank_kernel(spec)
     tallies = [0] * (limit + 2)
     for rest in itertools.product(range(spec.order), repeat=free):
         x = list(head) + list(rest)
-        tallies[kern([x[i : i + ncols] for i in range(nrows)], limit)] += 1
+        tallies[_pivot_loop(spec.ops, [x[i : i + ncols] for i in range(nrows)], limit)] += 1
     return tallies
 
 

@@ -29,21 +29,28 @@ trial.
 The exhaustive counter walks the prefix tree of the tuple depth first.  It
 reads the Hankel view in whichever orientation has the shorter columns,
 with nrows entries per column, so that entry x_t completes column
-t-nrows+1, and keeps an echelon basis of the finished columns.  With
-x_t = y the new column's residual against that basis is r0 + y*re, where
-r0 is its residual at y = 0 and re that of the last unit vector e_last:
-e_last itself, or 0 once e_last is in the span, a flag the walk carries
-down.  So the values of x_t that keep the rank are known in closed form:
-exactly one if r0 is a multiple of re, and none otherwise (when re = 0,
-r0 is never 0 on a Hankel view, so none keeps it).  One basis vector
-serves every value that raises the rank, built once per node: e_last
-when r0 is a multiple of it, r0 scaled by the inverse of its first
-nonzero when re = 0, and otherwise that scaled r0 with only its last
-entry computed per value.  Whole subtrees are tallied without being
-visited, exactly: once the rank exceeds the limit asked for, or reaches
-nrows, every completion has that rank.  The last entry is never
-enumerated.  Fixed entries are walked as one-value entries, so the
-Jacobi-Trudi flip count is a prefix-fixed walk too.
+t-nrows+1, and keeps K, the left kernel of the finished columns, whose
+nrows - rank vectors are stored as those with last entry 0 and at most
+one, w, with last entry 1.  e_last is in the span of the columns exactly
+when w is absent.  With x_t = y the new column is c0 + y*e_last, and y
+keeps the rank iff every u in K has u*c0 + y*u_last = 0.  So no value
+keeps it if some last-0 vector u has u*c0 != 0, and otherwise exactly
+-(w*c0) does (w then exists: with e_last and c0 both in the span, the
+shift (u', 0) -> (0, u') would map K into itself, injectively and
+nilpotently, so K would be 0).  The values that raise the rank share one pivot: the first
+last-0 vector with a nonzero dot, whose update of the other last-0
+vectors does not depend on y, while w takes one axpy per value; or,
+when there is none, w itself, which is dropped.  A node takes its dots
+only up to the first nonzero one unless it builds the new K.  Whole
+subtrees are tallied without being visited, exactly: once the rank
+exceeds the limit asked for, or reaches nrows, every completion has that
+rank.  A free last entry is settled in its parent, the node of the entry
+before it, with no dot product for the values that raise the rank: each
+of their children keeps one last value when the pivot was the only
+last-0 vector, and none otherwise (a degree argument in _walk_block).
+The child of the value that keeps the rank takes one pass over K.  Fixed
+entries are walked as one-value entries, so the Jacobi-Trudi flip count
+is a prefix-fixed walk too.
 
 The walk is split into blocks that fix the first few free entries, and
 _walk_block walks each as a longer head.  A head with a nonzero entry is
@@ -449,8 +456,10 @@ def _walk_block(
     tallies[rho] counts completions whose (rdeg, cdeg) = shape view has
     rank rho; ranks above limit land in tallies[limit + 1].
 
-    The walk goes depth first over the tuple prefix tree, keeps an echelon
-    basis of the view's finished columns, and gives each head entry one value.
+    The walk goes depth first over the tuple prefix tree and keeps the left
+    kernel of the view's finished columns, as the vectors with last entry 0
+    and at most one with last entry 1.  It gives each head entry one value,
+    and settles a free last entry in the node of the entry before it.
     """
     q = spec.order
     # rank is transpose-invariant: walk the orientation with shorter columns
@@ -459,77 +468,105 @@ def _walk_block(
     stop = min(limit + 1, nrows)  # a rank that settles every completion
     last = nrows + ncols - 2  # index of the last entry
     fixed = len(head)
+    settle = last - 1 if fixed <= last else -1  # the node that settles the last entry
     ops = spec.ops
-    sub_mul, mul, inv, neg, add = ops.sub_mul, ops.mul, ops.inv, ops.neg, ops.add
-    unit = [0] * (nrows - 1) + [1]
+    sub_mul, dot, mul, inv, neg, add = ops.sub_mul, ops.dot, ops.mul, ops.inv, ops.neg, ops.add
     tallies = [0] * (limit + 2)
     x = list(head) + [0] * free
 
-    def walk(t: int, basis: list, spanned: bool) -> None:
-        # x[:t] is set, rank = len(basis) < stop, and spanned tells whether
-        # e_last is in the span.  x_t completes column t - nrows + 1, whose
-        # residual for x_t = y is r0 + y*re, with re = 0 if spanned and
-        # e_last otherwise
-        rank = len(basis)
+    def walk(t: int, zeros: list, w: list | None) -> None:
+        # x[:t] is set.  The left kernel K of the finished columns has the
+        # basis zeros, whose vectors end in 0, and w, which ends in 1, or
+        # no w when e_last is in their span; rank = nrows - |K| < stop.
+        # x_t completes column t - nrows + 1, c0 + y*e_last for x_t = y
+        rank = nrows - len(zeros) - (w is not None)
         values = (head[t],) if t < fixed else range(q)
         if t < nrows - 1:
             for y in values:
                 x[t] = y
-                walk(t + 1, basis, spanned)
+                walk(t + 1, zeros, w)
             return
         x[t] = 0
-        r0 = x[t - nrows + 1 : t + 1]
-        # basis vectors are 1 at their pivot and 0 at earlier pivots
-        for piv, b in basis:
-            if r0[piv]:
-                r0 = sub_mul(r0, r0[piv], b)
-        # Pivots sit at first nonzero entries, so e_last is spanned only
-        # as a basis vector, and then r0 is 0 at its last entry.  So
-        # r0 + y*re is 0 at the one y = -r0[-1] if r0 vanishes off its
-        # last entry, and at no y otherwise.  For re = 0 that needs
-        # r0 != 0: were e_last and the column at y = 0 both in the span,
-        # each annihilator (u', 0) of the span would give another,
-        # (0, u'), and there would be more than nrows - rank independent
-        # ones
-        keep = None if spanned or any(r0[:-1]) else neg(r0[-1])
+        c0 = x[t - nrows + 1 : t + 1]
+        # u*c(y) is u*c0 for u in zeros, and w*c0 + y for w.  So no value
+        # keeps the rank if some u*c0 != 0, and else only -(w*c0) does.
+        # Then w exists: were e_last and c0 both in the span, the shift
+        # (u', 0) -> (0, u') would map K into K, as u*c0 = 0 covers the
+        # new column's first nrows - 1 entries.  It is injective and
+        # nilpotent, so K would be 0, but rank < nrows
+        for i, u in enumerate(zeros):
+            d = dot(u, c0)
+            if d:
+                keep = None
+                break
+        else:
+            i, keep = -1, neg(dot(w, c0))
         kept = keep is not None and keep in values
         raised = len(values) - kept
-        if t == last:
+        if t == last:  # a fixed last entry, or the 1 x 1 view
             tallies[rank] += kept
             tallies[rank + 1] += raised
             return
+        if t == settle:
+            if kept:  # the child keeps K: one last value keeps its rank, or none
+                x[t] = keep
+                window = x[t - nrows + 2 : t + 1] + [0]
+                if any(dot(u, window) for u in zeros):
+                    tallies[rank + 1] += q
+                else:
+                    tallies[rank] += 1
+                    tallies[rank + 1] += q - 1
+            if rank + 1 == stop:
+                tallies[stop] += raised * q
+                return
+            # A raising child keeps one last value iff its K has w and its
+            # vectors ending in 0 vanish on its window.  Pivoting on w
+            # leaves no w.  Pivoting on p = zeros[i] leaves w and the new
+            # zeros, which all vanish there only if there are none.  Read
+            # u as the polynomial sum u_k X^k and u*c_j as L(X^j u); x_t
+            # completes column J = t - nrows + 1 >= nrows - 2.  p vanishes
+            # on c_0 .. c_(J-1) but not on c_J, and each u in the new zeros
+            # on c_0 .. c_J.  So deg u < deg p for u != 0: else
+            # L(X^(J - deg u) p u) would be u's leading coefficient times
+            # L(X^J p) by u's coefficients, and 0 by p's.  Were every
+            # L(X^(J+1) u) 0, X*u would be in the new zeros too, as its
+            # degree is at most deg p <= nrows - 2; for u of highest degree
+            # it is not
+            hits = raised if i >= 0 and len(zeros) == 1 else 0
+            tallies[rank + 1] += hits
+            tallies[rank + 2] += raised * q - hits
+            return
         if kept:
             x[t] = keep
-            walk(t + 1, basis, spanned)
+            walk(t + 1, zeros, w)
         if rank + 1 == stop:  # each raising value settles its subtree
             tallies[stop] += raised * q ** (last + 1 - max(t + 1, fixed))
             return
-        # the raising values share their new basis vector: e_last when r0
-        # is a multiple of it, and otherwise r0 + y*re scaled by the
-        # inverse of r0's first nonzero, which depends on y only through
-        # its last entry, and not at all when re = 0
-        if keep is not None:
-            grown = basis + [(nrows - 1, unit)]
+        if i < 0:  # pivot on w: the raising values share K without w
             for y in values:
                 if y != keep:
                     x[t] = y
-                    walk(t + 1, grown, True)
+                    walk(t + 1, zeros, None)
             return
-        piv = next(i for i, c in enumerate(r0) if c)
-        s = inv(r0[piv])
-        if spanned:
-            grown = basis + [(piv, [mul(s, c) for c in r0])]
+        # pivot on zeros[i], whose dot d does not depend on y: the other
+        # vectors of zeros take the same update for every value, and w
+        # takes one axpy per value, with w*c(y) = w*c0 + y
+        piv, s = zeros[i], inv(d)
+        grown = zeros[:i] + [
+            sub_mul(u, mul(e, s), piv) if (e := dot(u, c0)) else u for u in zeros[i + 1 :]
+        ]
+        if w is None:
             for y in values:
                 x[t] = y
-                walk(t + 1, grown, True)
+                walk(t + 1, grown, None)
             return
-        scaled, end = [mul(s, c) for c in r0[:-1]], r0[-1]
+        wd = dot(w, c0)
         for y in values:
             x[t] = y
-            walk(t + 1, basis + [(piv, scaled + [mul(s, add(end, y))])], False)
+            walk(t + 1, grown, sub_mul(w, mul(add(wd, y), s), piv))
 
-    walk(0, [], False)
-    del walk  # it refers to itself: free it, x and the bases now, not in a gc pass
+    walk(0, [[int(i == j) for i in range(nrows)] for j in range(nrows - 1)], [0] * (nrows - 1) + [1])
+    del walk  # it refers to itself: free it, x and the kernels now, not in a gc pass
     return tallies
 
 

@@ -9,14 +9,15 @@ t, 1+t, ... for GF(4)).
 
 All arithmetic on codes is bound here, once per field: FieldSpec.ops is
 a CodeOps record of closures (add, sub, neg, mul, inv, the row update of
-elimination and the lane update of lockstep elimination), which the code
-methods (add_code and the others), the element arithmetic (ff_add and the
-others) and the kernels of the other modules call.  Prime fields compute
-mod p.  Extension fields up to order 2^16 use O(Q) discrete-log tables
-(_LogTables), built on first use, for products and inverses, and add by
-XOR for p = 2 and by Zech logarithms for odd p.  Larger ones multiply and
-reduce polynomials, invert by the extended Euclidean algorithm against
-the modulus, and add by XOR for p = 2 and digit by digit otherwise.
+elimination, the dot product and the lane update of lockstep
+elimination), which the code methods (add_code and the others), the
+element arithmetic (ff_add and the others) and the kernels of the other
+modules call.  Prime fields compute mod p.  Extension fields up to order
+2^16 use O(Q) discrete-log tables (_LogTables), built on first use, for
+products and inverses, and add by XOR for p = 2 and by Zech logarithms
+for odd p.  Larger ones multiply and reduce polynomials, invert by the
+extended Euclidean algorithm against the modulus, and add by XOR for
+p = 2 and digit by digit otherwise.
 
 Prime fields work for any prime p < 2^31.  Extension fields ship with
 fixed Conway moduli for Q in {4, 8, 9, 16, 25, 27, 32, 49, 64}; any other
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import xor
+from operator import mul as int_mul, xor
 from typing import Callable, NamedTuple, Sequence
 
 __all__ = [
@@ -256,10 +257,11 @@ class CodeOps(NamedTuple):
 
     add, sub, neg, mul and inv act on codes; inv raises ZeroDivisionError
     on 0.  sub_mul(v, f, b) returns v - f*b on code lists and accepts
-    f = 0.  lanes(rows, k), for rows[i][j] the list of entry (i, j) over
-    a batch of matrices, clears column k below row k without inverting
-    the pivots: it replaces rows[i][k+1:] for i > k, and a lane whose
-    pivot (k, k) is 0 comes out as garbage.
+    f = 0.  dot(u, v) returns the sum of u[i]*v[i] over two code lists of
+    one length, 0 for empty ones.  lanes(rows, k), for rows[i][j] the
+    list of entry (i, j) over a batch of matrices, clears column k below
+    row k without inverting the pivots: it replaces rows[i][k+1:] for
+    i > k, and a lane whose pivot (k, k) is 0 comes out as garbage.
     """
 
     add: Callable[[int, int], int]
@@ -268,6 +270,7 @@ class CodeOps(NamedTuple):
     mul: Callable[[int, int], int]
     inv: Callable[[int], int]
     sub_mul: Callable[[list[int], int, list[int]], list[int]]
+    dot: Callable[[list[int], list[int]], int]
     lanes: Callable[[list, int], None]
 
 
@@ -279,6 +282,9 @@ def _prime_ops(p: int) -> CodeOps:
 
     def sub_mul(v, f, b):
         return [(x - f * y) % p for x, y in zip(v, b)]
+
+    def dot(u, v):
+        return sum(map(int_mul, u, v)) % p
 
     def lanes(rows, k):
         prow = rows[k]
@@ -297,6 +303,7 @@ def _prime_ops(p: int) -> CodeOps:
         lambda a, b: a * b % p,
         inv,
         sub_mul,
+        dot,
         lanes,
     )
 
@@ -321,6 +328,12 @@ def _table_ops(tab: _LogTables) -> CodeOps:
             lf = log[f]
             return [x ^ exp[lf + log[y]] for x, y in zip(v, b)]
 
+        def dot(u, v):
+            s = 0
+            for a, b in zip(u, v):
+                s ^= exp[log[a] + log[b]]
+            return s
+
         def lanes(rows, k):
             prow = rows[k]
             la = [log[a] for a in prow[k]]
@@ -334,7 +347,7 @@ def _table_ops(tab: _LogTables) -> CodeOps:
                     for X, Y in zip(row[k + 1 :], ly)
                 ]
 
-        return CodeOps(xor, xor, lambda a: a, mul, inv, sub_mul, lanes)
+        return CodeOps(xor, xor, lambda a: a, mul, inv, sub_mul, dot, lanes)
 
     # odd p: x + w*y by Zech logarithms, reading the Zech table at
     # c + log y - log x for c = 3L + log w; w = -1 is log w = half
@@ -351,6 +364,18 @@ def _table_ops(tab: _LogTables) -> CodeOps:
         c = nil + (log[f] + half) % L
         return [exp[(lx := log[x]) + zech[c + log[y] - lx]] for x, y in zip(v, b)]
 
+    def dot(u, v):
+        # s + a*b reads the Zech table at n = log a + log b - log s, which
+        # for nonzero a and b lies in [-3L, 2L - 1) and gives back n at
+        # s = 0.  Zero products are skipped: at a = b = 0 and s != 0, n
+        # would run past the table
+        s = 0
+        for a, b in zip(u, v):
+            if a and b:
+                ls = log[s]
+                s = exp[ls + zech[nil + log[a] + log[b] - ls]]
+        return s
+
     def lanes(rows, k):
         prow = rows[k]
         la = [log[a] for a in prow[k]]
@@ -363,7 +388,7 @@ def _table_ops(tab: _LogTables) -> CodeOps:
                 for X, Y in zip(row[k + 1 :], ly)
             ]
 
-    return CodeOps(add, lambda a, b: add(a, neg(b)), neg, mul, inv, sub_mul, lanes)
+    return CodeOps(add, lambda a, b: add(a, neg(b)), neg, mul, inv, sub_mul, dot, lanes)
 
 
 def _poly_ops(p: int, d: int, modulus: tuple[int, ...]) -> CodeOps:
@@ -391,6 +416,13 @@ def _poly_ops(p: int, d: int, modulus: tuple[int, ...]) -> CodeOps:
     def sub_mul(v, f, b):
         return [sub(x, mul(f, y)) for x, y in zip(v, b)]
 
+    def dot(u, v):
+        s = 0
+        for a, b in zip(u, v):
+            if a and b:
+                s = add(s, mul(a, b))
+        return s
+
     def lanes(rows, k):
         # an inverse costs about two polynomial products here, so each lane
         # sets row <- a*row - f*prow for its pivot a
@@ -403,7 +435,7 @@ def _poly_ops(p: int, d: int, modulus: tuple[int, ...]) -> CodeOps:
                 for X, Y in zip(row[k + 1 :], prow[k + 1 :])
             ]
 
-    return CodeOps(add, sub, neg, mul, inv, sub_mul, lanes)
+    return CodeOps(add, sub, neg, mul, inv, sub_mul, dot, lanes)
 
 
 class FieldSpec:

@@ -184,6 +184,29 @@ def test_brute_census_against_formula_grid():
                     assert dist.counts[r] == count_rank_eq_formula(field, m, n, r)
 
 
+@pytest.mark.parametrize(
+    "text, m, n",
+    [
+        ("65521", 2, 2),
+        ("2^17:1,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,1", 2, 2),
+        ("3^11:2,0,1,0,0,0,0,0,0,0,0,1", 2, 2),
+        ("2147483647", 1, 2),
+        ("101", 3, 3),
+    ],
+)
+def test_exact_census_on_large_fields(text, m, n):
+    # far past the flat sweep: the orbit blocks, the kernel update and the
+    # last-entry settle on large-prime and polynomial arithmetic.  For
+    # m <= n the census is written out here: 1 tuple of rank 0,
+    # (q^2-1)*q^(2r-2) of each rank 1 <= r <= m, and the rest of rank m+1
+    field = parse_field(text)
+    q = field.order
+    dist = brute_census(field, m, n, cap=q ** (m + n + 1))
+    expected = {r: (q * q - 1) * q ** (2 * r - 2) for r in range(1, m + 1)}
+    expected |= {0: 1, m + 1: q ** (m + n + 1) - q ** (2 * m)}
+    assert dist.counts == expected
+
+
 def test_cap_errors():
     with pytest.raises(CapExceededError) as info:
         brute_count_rank_le(CountQuery(F2, 20, 20, 20), cap=1000)

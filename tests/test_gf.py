@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import random
 
 import pytest
 
@@ -282,6 +283,37 @@ def test_operations_are_bound_once_and_lazily():
         ops = spec.ops
         assert spec.ops is ops and spec._ops is ops
         assert spec.add_code(1, 1) == ops.add(1, 1)
+
+
+@pytest.mark.parametrize("text", ["13", "8", "9", GF2_17, GF3_11])
+def test_dot_matches_element_sums_of_products(text):
+    # every field class: mod p, log tables with XOR (GF(8)) or Zech (GF(9))
+    # sums, and polynomial arithmetic above 2^16 for p = 2 and odd p
+    spec = parse_field(text)
+    q, dot = spec.order, spec.ops.dot
+
+    def expected(u, v):
+        total = spec.zero
+        for a, b in zip(u, v):
+            total = total + spec.element(a) * spec.element(b)
+        return total.code
+
+    rng = random.Random(q)
+    cases = [([0] * n, [rng.randrange(q) for _ in range(n)]) for n in range(7)]
+    for n in range(7):
+        for _ in range(30):
+            u, v = ([rng.choice((0, rng.randrange(1, q))) for _ in range(n)] for _ in "uv")
+            cases += [(u, v), (v, u)]
+    if spec.tables is not None:
+        # the running sum is the only state of a table dot, and pairs of
+        # length 2 give it every value before every product
+        cases += [
+            (list(u), list(v))
+            for u in itertools.product(range(q), repeat=2)
+            for v in itertools.product(range(q), repeat=2)
+        ]
+    for u, v in cases:
+        assert dot(u, v) == expected(u, v)
 
 
 def test_log_tables_are_linear_size():

@@ -10,8 +10,10 @@ every pair of every built-in extension field; rank and determinant
 against the minor and Leibniz oracles, which use no elimination.  The
 prefix-tree walk behind the exhaustive counts is checked against a flat
 sweep that runs one rank kernel call per tuple, on small primes in place
-of the random ones, and its blocks, at every field size, to cover each
-completion once.  In the table class, where the flat sweep reaches one
+of the random ones, and on heads that leave two, one or no entries free
+over GF(2, 3, 4, 5, 9), where the node of the entry before the last
+settles the last entry; and its blocks, at every field size, to cover
+each completion once.  In the table class, where the flat sweep reaches one
 free entry only, the orbit blocks of two free entries are checked against
 one unsplit walk, and so are the blocks of three and four free entries
 over GF(2, 3, 4, 5, 7, 8, 9, 25, 27).  The sampler's lockstep elimination
@@ -24,6 +26,7 @@ same examples.
 from __future__ import annotations
 
 import itertools
+import random
 from functools import partial
 
 import pytest
@@ -515,6 +518,33 @@ def test_walk_matches_flat_sweep(name):
             assert _walk_block(spec, head, free, shape, limit) == expected
 
     check()
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 9))
+def test_walk_matches_flat_sweep_on_the_last_entries(q):
+    # the node of the entry before the last settles a free last entry for
+    # each of its values; heads that fix every entry but the last two, all
+    # but the last one, or every one reach that node with 2, 1 and 0 free
+    # entries.  Entries from {0, 1, q-1} make dependent columns common;
+    # past 100 such heads, the zero head and 100 drawn ones are walked
+    spec = FieldSpec.from_order(q) if q in BUILTIN_ORDERS else FieldSpec(q)
+    palette = sorted({0, 1, q - 1})
+    rng = random.Random(q)
+    for m, n in ((0, 0), (0, 2), (1, 1), (1, 2), (2, 2), (1, 4), (2, 3), (3, 3)):
+        length = m + n + 1
+        views = [((m, n), min(m, n) + 1)]
+        views += [(_test_shape(m, n, r), r) for r in range(min(m, n) + 1)]
+        for free in (2, 1, 0):
+            k = length - free
+            if k < 0:
+                continue
+            heads = list(itertools.product(palette, repeat=k))
+            if len(heads) > 100:
+                heads = heads[:1] + rng.sample(heads, 100)
+            for head in heads:
+                for shape, limit in views:
+                    expected = flat_tallies(spec, head, free, shape, limit)
+                    assert _walk_block(spec, head, free, shape, limit) == expected
 
 
 @pytest.mark.parametrize("p, d", CLASSES["table"])

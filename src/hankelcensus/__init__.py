@@ -26,15 +26,12 @@ from hankelcensus.hankel import (
     det,
     jt_matrix,
     jt_to_hankel,
-    left_kernel_dim,
     materialize_hankel,
     prefix,
     rank_gauss,
 )
 from hankelcensus.ranklaw import (
     RankPair,
-    elkies_identity_sides,
-    kernel_count_nonzero,
     rank_le_fast,
     rank_pair,
 )
@@ -48,7 +45,6 @@ from hankelcensus.witness import (
     is_weakly_nice,
     last,
     solve_tail,
-    sumlast_sides,
 )
 from hankelcensus.census import (
     CapExceededError,
@@ -83,13 +79,10 @@ __all__ = [
     "det",
     "jt_matrix",
     "jt_to_hankel",
-    "left_kernel_dim",
     "materialize_hankel",
     "prefix",
     "rank_gauss",
     "RankPair",
-    "elkies_identity_sides",
-    "kernel_count_nonzero",
     "rank_le_fast",
     "rank_pair",
     "NiceContext",
@@ -101,7 +94,6 @@ __all__ = [
     "is_weakly_nice",
     "last",
     "solve_tail",
-    "sumlast_sides",
     "CapExceededError",
     "CensusReport",
     "CountQuery",

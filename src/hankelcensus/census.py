@@ -86,7 +86,7 @@ rank-nullity; see ranklaw) once per (m, n), in odometer order, into one
 running sum per prefix block of the finest length min(m, n+1).  The
 tuples with a given k-prefix are consecutive, so the side for a shorter
 prefix is the sum of Q consecutive finer sums, and every prefix gets the
-side that witness.sumlast_sides returns for it.  The cap is charged
+sum of the term over its completions.  The cap is charged
 Q^(m+n+1) per (m, n), exactly the terms computed; summing each prefix on
 its own would compute min(m, n+1)+1 times as many.
 """
@@ -100,7 +100,7 @@ from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
 from functools import wraps
 from math import sqrt
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from hankelcensus.gf import FieldSpec
 from hankelcensus.hankel import (
@@ -146,7 +146,6 @@ __all__ = [
     "monte_carlo_rank_le",
     "make_report",
     "target_stderr",
-    "all_passed",
     "verify",
     "suite_lemmas",
     "suite_identities",
@@ -287,10 +286,6 @@ def make_report(
     else:
         verdict = "match" if formula == observed else "mismatch"
     return CensusReport(check, field, params, mode, formula, observed, verdict, elapsed_s)
-
-
-def all_passed(reports: Iterable[CensusReport]) -> bool:
-    return all(r.verdict != "mismatch" for r in reports)
 
 
 # ----------------------------------------------------------------------
@@ -950,8 +945,8 @@ def suite_identities(
     """Instance-wise checks of the two kernel-counting identities.
 
     The summed identity is checked for every prefix of length k <= min(m,
-    n+1); its left side is what `witness.sumlast_sides` returns.  A family
-    with no instance in the grid reports "skipped".
+    n+1); its left side sums the kernel-counting term over the prefix's
+    completions.  A family with no instance in the grid reports "skipped".
     """
     q = field.order
     if max_n is not None:

@@ -59,6 +59,27 @@ def integer(text: str) -> int:
     return _decimal(text, signed=True)
 
 
+def _parse_fields(text: str) -> list[FieldSpec]:
+    """A comma-separated list of field specs.  A 'p^d:c0,...,cd' spec takes
+    its d+1 coefficients (two for 'p:c0,c1'); the next item starts a new
+    spec."""
+    items = text.split(",")
+    specs = []
+    while items:
+        spec = items.pop(0)
+        head, colon, _ = spec.partition(":")
+        if colon:
+            _, caret, deg = head.strip().partition("^")
+            try:
+                more = _decimal(deg) if caret else 1
+            except ValueError:
+                more = 0  # parse_field reports the bad degree
+            spec = ",".join([spec] + items[:more])
+            del items[:more]
+        specs.append(parse_field(spec))
+    return specs
+
+
 def _default_cap() -> int:
     env = os.environ.get("HANKEL_CENSUS_CAP")
     if env is not None:
@@ -349,7 +370,7 @@ _VERDICT_WORD = {
 
 def _cmd_verify(args) -> int:
     started = time.perf_counter()
-    fields = [parse_field(part) for part in args.field.split(",")]
+    fields = _parse_fields(args.field)
     reports = verify(args.suite, fields, max_n=args.max_n, cap=args.cap)
     elapsed = time.perf_counter() - started
     failures = sum(1 for r in reports if r.verdict == "mismatch")
@@ -468,7 +489,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run property and counting suites")
     p.add_argument("--suite", choices=("all",) + SUITES, default="all")
-    p.add_argument("--field", default="2,3", help="comma-separated field specs")
+    p.add_argument(
+        "--field", default="2,3",
+        help="comma-separated field specs; a p^d: spec takes its d+1 coefficients",
+    )
     p.add_argument("--max-n", type=integer, default=None, help="override the per-suite size bound")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--output", default="-")

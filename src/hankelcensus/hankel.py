@@ -2,9 +2,9 @@
 
 A Hankel view of a tuple x = (x_0, ..., x_N) with shape (rdeg, cdeg) is the
 (rdeg+1) x (cdeg+1) matrix whose (i, j) entry is x_{i+j}; rdeg or cdeg may
-be -1, giving a legal empty matrix of rank 0.  Rank, determinant and left
-kernel dimension are computed by exact Gaussian elimination with partial
-pivoting on the first nonzero entry.
+be -1, giving a legal empty matrix of rank 0.  Rank and determinant are
+computed by exact Gaussian elimination with partial pivoting on the first
+nonzero entry.
 
 The containers (SeqTuple, RowVector, DenseMatrix) hold their field and a
 tuple of integer element codes (see gf); a FieldElement is decoded only
@@ -37,12 +37,10 @@ __all__ = [
     "materialize_hankel",
     "rank_gauss",
     "det",
-    "left_kernel_dim",
     "prefix",
     "jt_matrix",
     "jt_to_hankel",
     "row_reversal_sign",
-    "vec_mat_mul",
     "iter_seq_tuples",
 ]
 
@@ -350,11 +348,6 @@ def det(M: DenseMatrix) -> FieldElement:
     return spec.element(acc)
 
 
-def left_kernel_dim(M: DenseMatrix) -> int:
-    """Dimension of the left kernel: rows - rank."""
-    return M.rows - rank_gauss(M)
-
-
 def prefix(x: SeqTuple, k: int) -> SeqTuple:
     """The k-tuple of the first k entries of x."""
     if not 0 <= k <= len(x):
@@ -397,23 +390,6 @@ def row_reversal_sign(field: FieldSpec, nrows: int) -> FieldElement:
     """Sign (-1)^floor(nrows/2) of the permutation reversing nrows rows."""
     one = field.one
     return one if (nrows // 2) % 2 == 0 else -one
-
-
-def vec_mat_mul(v: RowVector, M: DenseMatrix) -> RowVector:
-    """Row vector times matrix; v must have one entry per matrix row."""
-    if len(v) != M.rows:
-        raise ValueError(f"vector length {len(v)} != matrix rows {M.rows}")
-    if v.field != M.field:
-        raise ValueError("vector and matrix live in different fields")
-    spec = M.field
-    add, mul = spec.ops.add, spec.ops.mul
-    out = []
-    for j in range(M.cols):
-        acc = 0
-        for vi, mij in zip(v.codes, M.codes[j :: M.cols]):
-            acc = add(acc, mul(vi, mij))
-        out.append(acc)
-    return RowVector.from_codes(spec, out)
 
 
 def iter_seq_tuples(

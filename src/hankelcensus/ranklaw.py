@@ -7,10 +7,11 @@ rank(H_{m,n}(x)) <= r to the same test on the much smaller H_{r,s}(x)
 with s = m+n-r.  That reduction is the only speedup this package uses.
 
 The kernel-counting identity relates the rank-bound truth value to sizes
-of left kernels of the two widest shapes; both sides are exposed so the
-identity can be checked instance by instance.  Both kernel sizes come from
-the ranks of the two views by rank-nullity, one elimination per view, on
-the tuple's codes (`_annihilator_term`, which the summed identity shares).
+of left kernels of the two widest shapes.  `_annihilator_term` computes
+its kernel side for one tuple, which the identity suite checks instance
+by instance and sums over prefixes; both kernel sizes come from the ranks
+of the two views by rank-nullity, one elimination per view, on the
+tuple's codes.
 """
 
 from __future__ import annotations
@@ -19,22 +20,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from hankelcensus.gf import FieldSpec
-from hankelcensus.hankel import (
-    DenseMatrix,
-    HankelShape,
-    SeqTuple,
-    _hankel_code_rows,
-    _rank_codes,
-    left_kernel_dim,
-)
+from hankelcensus.hankel import HankelShape, SeqTuple, _hankel_code_rows, _rank_codes
 
 __all__ = [
     "RankPair",
     "rank_pair",
     "rank_le_fast",
     "rank_via_reduction",
-    "elkies_identity_sides",
-    "kernel_count_nonzero",
 ]
 
 
@@ -96,32 +88,10 @@ def _annihilator_term(
     The term is the number of nonzero left-annihilators of H_{m,n} minus Q
     times the number for H_{m-1,n+1}; a view with `rows` rows and rank r
     has Q^(rows-r) - 1 of them.  The shapes are not checked: callers
-    validate them, and the summed identity also runs m = n+2.
+    validate them, and the summed identity also runs m > n+1.
     """
     q = spec.order
     full = _rank_codes(spec, _hankel_code_rows(codes, m, n))
     shaved = _rank_codes(spec, _hankel_code_rows(codes, m - 1, n + 1))
     return full, shaved, q ** (m + 1 - full) - 1 - q * (q ** (m - shaved) - 1)
 
-
-def kernel_count_nonzero(M: DenseMatrix) -> int:
-    """Number of nonzero row vectors v with v M = 0, i.e. Q^nullity - 1."""
-    return M.field.order ** left_kernel_dim(M) - 1
-
-
-def elkies_identity_sides(x: SeqTuple, m: int, n: int) -> tuple[int, int]:
-    """Both sides of the kernel-counting identity for H_{m,n}(x).
-
-    Left side: (Q-1) * [rank(H_{m,n}(x)) <= m].  Right side: the number of
-    nonzero left-annihilators of H_{m,n}(x) minus Q times the number for
-    H_{m-1,n+1}(x), both counted through rank-nullity.  The two sides are
-    equal for every x when m <= n+1.
-    """
-    if m < 0 or n < 0:
-        raise ValueError(f"need m, n >= 0, got m={m}, n={n}")
-    if m > n + 1:
-        raise ValueError(f"identity needs m <= n+1, got m={m}, n={n}")
-    if m + n > len(x) - 1:
-        raise ValueError(f"need m+n <= {len(x) - 1} for this tuple")
-    full, _, rhs = _annihilator_term(x.field, x.codes, m, n)
-    return (x.field.order - 1) * (full <= m), rhs

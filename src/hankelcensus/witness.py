@@ -13,8 +13,8 @@ that entry for a field element.
 entries x_m..x_{m+n} are then uniquely determined from the head by back
 substitution, so annihilating tuples with a fixed k-prefix number Q^{m-k}.
 
-`sumlast_sides` sums the kernel-counting term of ranklaw over the
-completions of a prefix, with annihilators counted through rank-nullity.
+Every annihilation equation, in the predicates, `solve_tail` and `beta`,
+is one dot product of v with a window of x, by the field's `dot`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from functools import lru_cache
 
 from hankelcensus.gf import FieldElement, FieldSpec
 from hankelcensus.hankel import RowVector, SeqTuple
-from hankelcensus.ranklaw import _annihilator_term
 
 __all__ = [
     "NiceContext",
@@ -37,7 +36,6 @@ __all__ = [
     "is_strongly_nice",
     "alpha",
     "beta",
-    "sumlast_sides",
 ]
 
 
@@ -64,15 +62,10 @@ def _annihilates_codes(
     spec: FieldSpec, vcodes: tuple[int, ...], xcodes: tuple[int, ...], ncols: int
 ) -> bool:
     # v . (Hankel view with `ncols` columns) == 0, evaluated on codes
-    add, mul = spec.ops.add, spec.ops.mul
+    dot = spec.ops.dot
     width = len(vcodes)
     for t in range(ncols):
-        acc = 0
-        for i in range(width):
-            vi = vcodes[i]
-            if vi:
-                acc = add(acc, mul(vi, xcodes[i + t]))
-        if acc:
+        if dot(vcodes, xcodes[t : t + width]):
             return False
     return True
 
@@ -140,17 +133,12 @@ def solve_tail(v: RowVector, head: SeqTuple, n: int) -> SeqTuple:
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     spec = v.field
-    add, mul, neg = spec.ops.add, spec.ops.mul, spec.ops.neg
-    vcodes = v.codes
-    vm_inv = spec.ops.inv(vcodes[m])
+    ops = spec.ops
+    body = v.codes[:m]
+    scale = ops.neg(ops.inv(v.codes[m]))  # -1/v_m
     x = list(head.codes)
     for t in range(n + 1):
-        acc = 0
-        for i in range(m):
-            vi = vcodes[i]
-            if vi:
-                acc = add(acc, mul(vi, x[i + t]))
-        x.append(mul(neg(acc), vm_inv))
+        x.append(ops.mul(ops.dot(body, x[t : t + m]), scale))
     return SeqTuple.from_codes(spec, x)
 
 
@@ -232,36 +220,11 @@ def beta(x: SeqTuple, ctx: NiceContext) -> tuple[FieldElement, SeqTuple]:
     if not is_weakly_nice(x, ctx):
         raise ValueError("beta needs a weakly nice input tuple")
     spec = ctx.field
-    add, mul = spec.ops.add, spec.ops.mul
+    ops = spec.ops
     vcodes = ctx.v.codes
     xcodes = x.codes
     j, n = ctx.j, ctx.n
-    acc = 0
-    for i in range(j):
-        vi = vcodes[i]
-        if vi:
-            acc = add(acc, mul(vi, xcodes[n + 1 + i]))
-    z = mul(spec.ops.neg(acc), spec.ops.inv(vcodes[j]))
     pos = j + n + 1
+    z = ops.mul(ops.dot(vcodes[:j], xcodes[n + 1 : pos]), ops.neg(ops.inv(vcodes[j])))
     return x[pos], SeqTuple.from_codes(spec, xcodes[:pos] + (z,) + xcodes[pos + 1 :])
 
-
-def sumlast_sides(field: FieldSpec, m: int, n: int, a: SeqTuple) -> tuple[int, int]:
-    """Both sides of the summed annihilator identity for prefix a.
-
-    Left side: over all x with the given k-prefix, the number of nonzero
-    left-annihilators of H_{m,n}(x) minus Q times the number for
-    H_{m-1,n+1}(x), counted through rank-nullity.  Right side:
-    (Q-1) Q^{2m-k}.
-    """
-    if m < 0 or n < 0:
-        raise ValueError(f"need m, n >= 0, got m={m}, n={n}")
-    if a.field != field:
-        raise ValueError("prefix lives in a different field")
-    k = len(a)
-    if k > m or k > n + 1:
-        raise ValueError(f"need k <= m and k <= n+1, got k={k}, m={m}, n={n}")
-    q = field.order
-    tails = itertools.product(range(q), repeat=m + n + 1 - k)
-    lhs = sum(_annihilator_term(field, a.codes + tail, m, n)[2] for tail in tails)
-    return lhs, (q - 1) * q ** (2 * m - k)

@@ -2,7 +2,9 @@
 
 Everything here deliberately avoids Gaussian elimination: determinants
 come from the permutation-sum formula, ranks from nonvanishing minors,
-and kernel counts from literal enumeration of row vectors.
+and kernel counts from literal enumeration of row vectors or from
+rank-nullity on those ranks.  Annihilation is tested entry by entry, with
+no dot product.
 
 Their arithmetic is FieldElement arithmetic.  It runs on the code
 operations that gf binds once per field (FieldSpec.ops), the same
@@ -19,14 +21,14 @@ from __future__ import annotations
 
 import itertools
 
-from hankelcensus.gf import FieldElement
+from hankelcensus.gf import FieldElement, FieldSpec
 from hankelcensus.hankel import (
     DenseMatrix,
     HankelShape,
     RowVector,
     SeqTuple,
+    iter_seq_tuples,
     materialize_hankel,
-    vec_mat_mul,
 )
 
 
@@ -71,6 +73,33 @@ def minor_rank(M: DenseMatrix) -> int:
     return 0
 
 
+def vec_mat_mul(v: RowVector, M: DenseMatrix) -> RowVector:
+    """Row vector times matrix; v must have one entry per matrix row."""
+    if len(v) != M.rows:
+        raise ValueError(f"vector length {len(v)} != matrix rows {M.rows}")
+    if v.field != M.field:
+        raise ValueError("vector and matrix live in different fields")
+    spec = M.field
+    add, mul = spec.ops.add, spec.ops.mul
+    out = []
+    for j in range(M.cols):
+        acc = 0
+        for vi, mij in zip(v.codes, M.codes[j :: M.cols]):
+            acc = add(acc, mul(vi, mij))
+        out.append(acc)
+    return RowVector.from_codes(spec, out)
+
+
+def annihilates(v: RowVector, x: SeqTuple, ncols: int) -> bool:
+    """Whether v kills the first ncols columns of x's Hankel view with
+    len(v) rows, each column summed entry by entry; a column that runs
+    past x raises IndexError."""
+    zero = x.field.zero
+    return all(
+        sum((vi * x[i + t] for i, vi in enumerate(v)), zero) == zero for t in range(ncols)
+    )
+
+
 def annihilator_count(M: DenseMatrix, include_zero: bool = False) -> int:
     """Literal count of row vectors v with v M = 0."""
     field = M.field
@@ -92,3 +121,34 @@ def elkies_rhs_literal(x: SeqTuple, m: int, n: int) -> int:
     full = materialize_hankel(x, HankelShape(m, n))
     shaved = materialize_hankel(x, HankelShape(m - 1, n + 1))
     return annihilator_count(full) - q * annihilator_count(shaved)
+
+
+def kernel_count(M: DenseMatrix) -> int:
+    """Nonzero row vectors v with v M = 0, by rank-nullity: Q^(rows - rank) - 1."""
+    return M.field.order ** (M.rows - minor_rank(M)) - 1
+
+
+def elkies_identity_sides(x: SeqTuple, m: int, n: int) -> tuple[int, int]:
+    """Both sides of the kernel-counting identity for H_{m,n}(x).
+
+    Left side: (Q-1) * [rank(H_{m,n}(x)) <= m].  Right side: the number of
+    nonzero left-annihilators of H_{m,n}(x) minus Q times the number for
+    H_{m-1,n+1}(x).  The two are equal for every x when m <= n+1.
+    """
+    q = x.field.order
+    kernel = kernel_count(materialize_hankel(x, HankelShape(m, n)))
+    shaved = kernel_count(materialize_hankel(x, HankelShape(m - 1, n + 1)))
+    # H_{m,n} has m+1 rows: its rank is <= m when some nonzero v kills it
+    return (q - 1) * (kernel > 0), kernel - q * shaved
+
+
+def sumlast_sides(field: FieldSpec, m: int, n: int, a: SeqTuple) -> tuple[int, int]:
+    """Both sides of the summed annihilator identity for the prefix a.
+
+    Left side: the right side of `elkies_identity_sides` summed over every
+    completion of a to length m+n+1.  Right side: (Q-1) Q^(2m-k) for k =
+    len(a); the two are equal when k <= m and k <= n+1.
+    """
+    q = field.order
+    lhs = sum(elkies_identity_sides(x, m, n)[1] for x in iter_seq_tuples(field, m + n + 1, a))
+    return lhs, (q - 1) * q ** (2 * m - len(a))

@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+import oracles
 from hankelcensus.census import (
     CountQuery,
     brute_census,
@@ -30,7 +31,7 @@ from hankelcensus.census import (
 )
 from hankelcensus.gf import FieldSpec
 from hankelcensus.hankel import RowVector, iter_seq_tuples
-from hankelcensus.ranklaw import elkies_identity_sides
+from hankelcensus.ranklaw import _annihilator_term
 from hankelcensus.witness import (
     NiceContext,
     alpha,
@@ -38,7 +39,6 @@ from hankelcensus.witness import (
     is_strongly_nice,
     is_weakly_nice,
     solve_tail,
-    sumlast_sides,
 )
 
 F2 = FieldSpec(2)
@@ -201,16 +201,19 @@ def test_c07_annihilator_count_identity():
                     vc for vc in itertools.product(range(q), repeat=m) if any(vc)
                 ]
                 for x in iter_seq_tuples(field, m + n + 1):
-                    lhs, rhs = elkies_identity_sides(x, m, n)
+                    # the term the identity suite computes, against minor
+                    # ranks and against vector enumeration
+                    full, _, term = _annihilator_term(field, x.codes, m, n)
+                    lhs, rhs = oracles.elkies_identity_sides(x, m, n)
                     literal = sum(
                         1 for vc in nonzero_wide if _annihilates(field, vc, x.codes, n + 1)
                     ) - q * sum(
                         1 for vc in nonzero_narrow if _annihilates(field, vc, x.codes, n + 2)
                     )
-                    if not (lhs == rhs == literal):
-                        violations.append((q, m, n, x.codes, lhs, rhs, literal))
+                    if not (lhs == (q - 1) * (full <= m) and lhs == rhs == term == literal):
+                        violations.append((q, m, n, x.codes, lhs, rhs, term, literal))
                     points += 1
-    _finish(7, "annihilator-count-identity", violations, f"{points} tuples, both routes")
+    _finish(7, "annihilator-count-identity", violations, f"{points} tuples, three routes")
 
 
 def test_c08_annihilator_sum_identity():
@@ -221,9 +224,14 @@ def test_c08_annihilator_sum_identity():
             for n in range(3):
                 for k in range(min(m, n + 1) + 1):
                     for a in iter_seq_tuples(field, k):
-                        lhs, rhs = sumlast_sides(field, m, n, a)
-                        if lhs != rhs:
-                            violations.append((field.order, m, n, k, str(a), lhs, rhs))
+                        # the suite's summed term against minor ranks
+                        lhs, rhs = oracles.sumlast_sides(field, m, n, a)
+                        summed = sum(
+                            _annihilator_term(field, x.codes, m, n)[2]
+                            for x in iter_seq_tuples(field, m + n + 1, a)
+                        )
+                        if not lhs == rhs == summed:
+                            violations.append((field.order, m, n, k, str(a), lhs, rhs, summed))
                         points += 1
     _finish(8, "annihilator-sum-identity", violations, f"{points} contexts")
 

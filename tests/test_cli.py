@@ -183,6 +183,27 @@ def test_verify_pass(capsys):
     assert "s" in err
 
 
+def test_verify_field_list_keeps_an_explicit_modulus_whole(capsys):
+    # a p^d: spec takes its d+1 coefficients, and the next item starts a
+    # new spec
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "all", "--field", "2^3:1,0,1,1,13", "--max-n", "1",
+        "--format", "json",
+    )
+    assert code == 0
+    records = json.loads(out)
+    assert all(r["verdict"] != "mismatch" for r in records)
+    fields = [json.dumps(r["field"]) for r in records]
+    assert [json.loads(f) for f in dict.fromkeys(fields)] == [
+        {"p": 2, "d": 3, "modulus": [1, 0, 1, 1]},
+        {"p": 13, "d": 1, "modulus": [0, 1]},
+    ]
+    # too few coefficients, or a coefficient out of range, still exit 2
+    for field, message in (("2^3:1,0,1", "degree 3"), ("2^3:1,0,1,13", "out of range")):
+        code, out, err = run_cli(capsys, "verify", "--suite", "lemmas", "--field", field, "--max-n", "1")
+        assert code == 2 and out == "" and message in err
+
+
 def test_verify_negative_max_n_exits_2(capsys):
     code, out, err = run_cli(capsys, "verify", "--suite", "all", "--field", "3", "--max-n", "-1")
     assert code == 2 and out == ""

@@ -17,10 +17,10 @@ each completion once.  In the table class, where the flat sweep reaches one
 free entry only, the orbit blocks of two free entries are checked against
 one unsplit walk, and so are the blocks of three and four free entries
 over GF(2, 3, 4, 5, 7, 8, 9, 25, 27).  The sampler's lockstep elimination
-is checked against one kernel call per view.  Both sides of the kernel-counting identity, and the
-adjacent rank pair, are checked against eliminations on materialized
-views.  Runs are derandomized, so every run draws the
-same examples.
+is checked against one kernel call per view.  The kernel-counting term
+that the identity suite sums, and the adjacent rank pair, are checked
+against minor ranks of materialized views.  Runs are derandomized, so
+every run draws the same examples.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from hankelcensus.hankel import (
     materialize_hankel,
     rank_gauss,
 )
-from hankelcensus.ranklaw import RankPair, elkies_identity_sides, kernel_count_nonzero, rank_pair
+from hankelcensus.ranklaw import RankPair, _annihilator_term, rank_pair
 
 PROPS = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 
@@ -317,12 +317,14 @@ def linear_recurrence(spec, init, coeffs, length):
 
 @st.composite
 def identity_cases(draw, name):
-    """(x, m, n) with m <= n+1, where x has random entries or follows a
+    """(x, m, n) with m <= n+2, where x has random entries or follows a
     linear recurrence of order 1 to 3.  Over a large field a random x
-    almost always has full-rank views, and both identity sides are 0."""
+    almost always has full-rank views, and both identity sides are 0.
+    The identity holds for m <= n+1; the summed identity also runs the
+    term at m = n+2."""
     spec = draw(fields(name))
     n = draw(st.integers(0, 3))
-    m = draw(st.integers(0, n + 1))
+    m = draw(st.integers(0, n + 2))
     codes = st.integers(0, spec.order - 1)
     if draw(st.booleans()):
         order = draw(st.integers(1, 3))
@@ -336,20 +338,19 @@ def identity_cases(draw, name):
 
 @pytest.mark.parametrize("name", list(CLASSES))
 def test_identity_sides_and_rank_pair_match_dense_matrices(name):
-    # the code-row term of ranklaw against rank_gauss and
-    # kernel_count_nonzero on materialized views
+    # the identity suite's term, and the adjacent rank pair, against minor
+    # ranks of materialized views
     @PROPS
     @given(identity_cases(name))
     def check(case):
         x, m, n = case
-        q = x.field.order
-        full = materialize_hankel(x, HankelShape(m, n))
-        shaved = materialize_hankel(x, HankelShape(m - 1, n + 1))
-        lhs, rhs = elkies_identity_sides(x, m, n)
-        assert lhs == (q - 1) * (rank_gauss(full) <= m)
-        assert rhs == kernel_count_nonzero(full) - q * kernel_count_nonzero(shaved)
-        assert lhs == rhs
-        assert rank_pair(x, m, n + 1) == RankPair(rank_gauss(full), rank_gauss(shaved))
+        full = oracles.minor_rank(materialize_hankel(x, HankelShape(m, n)))
+        shaved = oracles.minor_rank(materialize_hankel(x, HankelShape(m - 1, n + 1)))
+        lhs, rhs = oracles.elkies_identity_sides(x, m, n)
+        assert _annihilator_term(x.field, x.codes, m, n) == (full, shaved, rhs)
+        if m <= n + 1:
+            assert lhs == rhs
+        assert rank_pair(x, m, n + 1) == RankPair(full, shaved)
 
     check()
 

@@ -1,8 +1,16 @@
-"""Tail solver, truncation map, nice predicates, and the entry bijection."""
+"""Tail solver, truncation map, nice predicates, and the entry bijection.
+
+The gadgets run on GF(2) and GF(3) exhaustively, and on one field of each
+arithmetic class on random cases; every annihilation they claim is checked
+with oracles.vec_mat_mul or column sums in FieldElement arithmetic.  The
+kernel-counting term the identity suite sums is checked against vector
+enumeration and minor ranks.
+"""
 
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -14,8 +22,9 @@ from hankelcensus.hankel import (
     SeqTuple,
     iter_seq_tuples,
     materialize_hankel,
-    vec_mat_mul,
+    prefix,
 )
+from hankelcensus.ranklaw import _annihilator_term
 from hankelcensus.witness import (
     NiceContext,
     R_inv,
@@ -26,11 +35,21 @@ from hankelcensus.witness import (
     is_weakly_nice,
     last,
     solve_tail,
-    sumlast_sides,
 )
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
+
+# one field per arithmetic class: a prime; log tables for p = 2 and odd p,
+# and past q = 1024; polynomial arithmetic above 2^16 for p = 2 and odd p
+CLASS_FIELDS = [
+    FieldSpec(13),
+    FieldSpec.from_order(8),
+    FieldSpec.from_order(9),
+    FieldSpec(2, 11, [1, 0, 1] + [0] * 8 + [1]),
+    FieldSpec(2, 17, [1, 0, 0, 1] + [0] * 13 + [1]),
+    FieldSpec(3, 11, [2, 0, 1] + [0] * 8 + [1]),
+]
 
 
 def seq(field, codes):
@@ -43,7 +62,7 @@ def vec(field, codes):
 
 def annihilates(v, x, m, n):
     M = materialize_hankel(x, HankelShape(m, n))
-    product = vec_mat_mul(v, M)
+    product = oracles.vec_mat_mul(v, M)
     return all(e == x.field.zero for e in product.entries)
 
 
@@ -104,6 +123,20 @@ def test_solve_tail_outputs_annihilate(field):
                         out = solve_tail(v, head, n)
                         assert out.entries[:m] == head.entries
                         assert annihilates(v, out, m, n)
+
+
+@pytest.mark.parametrize("field", CLASS_FIELDS, ids=str)
+def test_solve_tail_in_every_field_class(field):
+    q = field.order
+    rng = random.Random(q)
+    for _ in range(25):
+        m, n = rng.randint(0, 3), rng.randint(0, 3)
+        vcodes = [rng.choice((0, rng.randrange(q))) for _ in range(m)] + [rng.randrange(1, q)]
+        v = vec(field, vcodes)
+        head = seq(field, [rng.randrange(q) for _ in range(m)])
+        out = solve_tail(v, head, n)
+        assert len(out) == m + n + 1 and out.codes[:m] == head.codes
+        assert annihilates(v, out, m, n)
 
 
 def test_solve_tail_injective_and_exact():
@@ -186,6 +219,29 @@ def test_alpha_beta_round_trip_exhaustive():
                 assert alpha(y, s, ctx) == x
 
 
+@pytest.mark.parametrize("field", CLASS_FIELDS, ids=str)
+def test_alpha_beta_round_trip_in_every_field_class(field):
+    q = field.order
+    rng = random.Random(q)
+    for _ in range(25):
+        m, n = rng.randint(1, 3), rng.randint(0, 2)
+        vcodes = [rng.choice((0, rng.randrange(q))) for _ in range(m)]
+        vcodes[rng.randrange(m)] = rng.randrange(1, q)
+        v = vec(field, vcodes + [0])
+        j = max(i for i, c in enumerate(vcodes) if c)
+        # a strongly nice tuple: x_j..x_{j+n+1} follow from the entries
+        # before them, and the entries after them are free
+        head = seq(field, [rng.randrange(q) for _ in range(j)])
+        x = solve_tail(vec(field, vcodes[: j + 1]), head, n + 1)
+        x = seq(field, x.codes + tuple(rng.randrange(q) for _ in range(m - 1 - j)))
+        assert oracles.annihilates(R_map(v), x, n + 2)
+        ctx = NiceContext(field, m, n, v, prefix(x, rng.randint(0, n + 1)))
+        for y in (field.zero, field.one, field.element(rng.randrange(q))):
+            w = alpha(y, x, ctx)
+            assert oracles.annihilates(v, w, n + 1)
+            assert beta(w, ctx) == (y, x)
+
+
 def test_alpha_changes_single_entry():
     v = vec(F3, [1, 0, 0])
     ctx = NiceContext(F3, 2, 1, v, SeqTuple(F3, ()))
@@ -226,32 +282,25 @@ def test_freed_entry_unconstrained():
 
 def test_sumlast_fixed_values():
     # (q-1) q^{2m-k} at the three pinned parameter points
-    assert sumlast_sides(F2, 1, 1, SeqTuple(F2, ())) == (4, 4)
+    assert oracles.sumlast_sides(F2, 1, 1, SeqTuple(F2, ())) == (4, 4)
     for a0 in range(2):
-        assert sumlast_sides(F2, 2, 2, seq(F2, [a0])) == (8, 8)
+        assert oracles.sumlast_sides(F2, 2, 2, seq(F2, [a0])) == (8, 8)
     for a0 in range(3):
-        assert sumlast_sides(F3, 1, 1, seq(F3, [a0])) == (6, 6)
+        assert oracles.sumlast_sides(F3, 1, 1, seq(F3, [a0])) == (6, 6)
 
 
 def test_sumlast_literal_mode_agrees():
-    # the left side against vector enumeration over every completion
+    # the identity suite's term, summed over every completion, against
+    # vector enumeration and against minor ranks
     for field in (F2, F3):
         q = field.order
         for m in range(1, 3):
             for n in range(2):
                 for k in range(min(m, n + 1) + 1):
                     for a in iter_seq_tuples(field, k):
-                        literal = sum(
-                            oracles.elkies_rhs_literal(x, m, n)
-                            for x in iter_seq_tuples(field, m + n + 1, a)
-                        )
-                        assert sumlast_sides(field, m, n, a) == (literal, (q - 1) * q ** (2 * m - k))
-
-
-def test_sumlast_errors():
-    with pytest.raises(ValueError):
-        sumlast_sides(F2, 1, 1, seq(F2, [0, 1]))  # k > m
-    with pytest.raises(ValueError):
-        sumlast_sides(F2, 2, 0, seq(F2, [0, 1]))  # k > n+1
-    with pytest.raises(ValueError):
-        sumlast_sides(F2, 1, 1, seq(F3, [0]))
+                        completions = list(iter_seq_tuples(field, m + n + 1, a))
+                        summed = sum(_annihilator_term(field, x.codes, m, n)[2] for x in completions)
+                        literal = sum(oracles.elkies_rhs_literal(x, m, n) for x in completions)
+                        rhs = (q - 1) * q ** (2 * m - k)
+                        assert summed == literal == rhs
+                        assert oracles.sumlast_sides(field, m, n, a) == (summed, rhs)

@@ -12,10 +12,6 @@ Submodules:
 from hankelcensus.gf import (
     FieldElement,
     FieldSpec,
-    ff_add,
-    ff_elements,
-    ff_inv,
-    ff_mul,
     parse_field,
 )
 from hankelcensus.hankel import (
@@ -27,7 +23,6 @@ from hankelcensus.hankel import (
     jt_matrix,
     jt_to_hankel,
     materialize_hankel,
-    prefix,
     rank_gauss,
 )
 from hankelcensus.ranklaw import (
@@ -67,10 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "FieldElement",
     "FieldSpec",
-    "ff_add",
-    "ff_elements",
-    "ff_inv",
-    "ff_mul",
     "parse_field",
     "DenseMatrix",
     "HankelShape",
@@ -80,7 +71,6 @@ __all__ = [
     "jt_matrix",
     "jt_to_hankel",
     "materialize_hankel",
-    "prefix",
     "rank_gauss",
     "RankPair",
     "rank_le_fast",

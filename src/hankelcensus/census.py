@@ -228,9 +228,6 @@ class RankDistribution:
         if sum(self.counts.values()) != self.total:
             raise ValueError("counts do not sum to total")
 
-    def count_le(self, r: int) -> int:
-        return sum(c for rho, c in self.counts.items() if rho <= r)
-
     def sorted_items(self) -> list[tuple[int, int]]:
         return sorted(self.counts.items())
 
@@ -249,7 +246,6 @@ class CensusReport:
     check: str
     field: FieldSpec
     params: dict
-    mode: str  # formula | brute | monte-carlo
     formula_value: object
     observed_value: object
     verdict: str | None  # match | mismatch | estimate-within-tolerance | skipped
@@ -272,20 +268,23 @@ def make_report(
     *,
     formula,
     observed,
-    mode: str = "brute",
     elapsed_s: float = 0.0,
 ) -> CensusReport:
-    """Build a report, deciding the verdict from the two values."""
-    if mode == "monte-carlo":
-        est: MonteCarloEstimate = observed
-        diff = abs(est.estimate - formula)
-        within = diff == 0 or float(diff) <= 4.0 * target_stderr(formula, est.trials)
+    """Build a report, deciding the verdict from the two values.
+
+    A MonteCarloEstimate passes within four standard errors of the target
+    probability `formula`; exact values match when equal, and a missing
+    one gives no verdict.
+    """
+    if isinstance(observed, MonteCarloEstimate):
+        diff = abs(observed.estimate - formula)
+        within = diff == 0 or float(diff) <= 4.0 * target_stderr(formula, observed.trials)
         verdict = "estimate-within-tolerance" if within else "mismatch"
     elif formula is None or observed is None:
         verdict = None
     else:
         verdict = "match" if formula == observed else "mismatch"
-    return CensusReport(check, field, params, mode, formula, observed, verdict, elapsed_s)
+    return CensusReport(check, field, params, formula, observed, verdict, elapsed_s)
 
 
 # ----------------------------------------------------------------------
@@ -1345,6 +1344,6 @@ def verify(
             reports.extend(done)
             if reason is not None:
                 reports.append(
-                    CensusReport(name, field, {"reason": reason}, "brute", None, None, "skipped", 0.0)
+                    CensusReport(name, field, {"reason": reason}, None, None, "skipped", 0.0)
                 )
     return reports

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -45,7 +46,7 @@ from hankelcensus.census import (
     target_stderr,
     verify,
 )
-from hankelcensus.gf import FieldSpec, _decimal, parse_element, parse_field
+from hankelcensus.gf import _BUILTIN_MODULI, FieldSpec, _decimal, parse_element, parse_field
 from hankelcensus.hankel import SeqTuple, row_reversal_sign
 from hankelcensus.ranklaw import rank_via_reduction
 
@@ -102,6 +103,14 @@ def _parse_tuple(field: FieldSpec, text: str | None) -> SeqTuple:
 
 def _field_json(field: FieldSpec) -> dict:
     return {"p": field.p, "d": field.d, "modulus": list(field.modulus)}
+
+
+def _field_name(field: FieldSpec) -> str:
+    """GF(q) for a prime field or one with its order's built-in modulus,
+    else the spec string, so that two fields of one order read apart."""
+    if field.d == 1 or _BUILTIN_MODULI.get(field.order) == (field.p, field.modulus):
+        return str(field)
+    return field.spec_string()
 
 
 def _value_json(value):
@@ -224,7 +233,7 @@ def _cmd_count(args) -> int:
     if args.mode == "mc":
         target = rank_le_probability(query)
         est = monte_carlo_rank_le(query, args.trials, args.seed)
-        report = make_report("count", field, params, formula=target, observed=est, mode="monte-carlo")
+        report = make_report("count", field, params, formula=target, observed=est)
         elapsed_ms = int((time.perf_counter() - started) * 1000)
         if args.format == "json":
             _emit_json(args, _record_json("count", field, {**params, "trials": args.trials, "seed": args.seed}, target, est, report.verdict, elapsed_ms))
@@ -382,14 +391,14 @@ def _cmd_verify(args) -> int:
         writer.writerow(["check", "field", "params", "formula", "observed", "verdict"])
         for r in reports:
             writer.writerow(
-                [r.check, str(r.field), _params_text(r.params), r.formula_value, r.observed_value, r.verdict]
+                [r.check, _field_name(r.field), _params_text(r.params), r.formula_value, r.observed_value, r.verdict]
             )
         _emit(args, buf.getvalue())
     else:
         lines = []
         for r in reports:
             lines.append(
-                f"{_VERDICT_WORD.get(r.verdict, r.verdict):4} {r.check} field={r.field} "
+                f"{_VERDICT_WORD.get(r.verdict, r.verdict):4} {r.check} field={_field_name(r.field)} "
                 f"{_params_text(r.params)} formula={r.formula_value} observed={r.observed_value}"
             )
         outcome = "pass" if failures == 0 else "fail"
@@ -409,7 +418,7 @@ def _cmd_sample(args) -> int:
     diff = float(est.estimate - target)
     sigma = target_stderr(target, est.trials)
     z = 0.0 if diff == 0 else (diff / sigma if sigma else float("inf"))
-    report = make_report("sample", field, {}, formula=target, observed=est, mode="monte-carlo")
+    report = make_report("sample", field, {}, formula=target, observed=est)
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     params = {"m": args.m, "n": args.n, "r": args.r, "k": query.k, "trials": args.trials, "seed": args.seed}
     if args.format == "json":
@@ -513,9 +522,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process, built by the first main call (importing this
+# module builds none); parse_args leaves it as it was, errors included
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         if hasattr(args, "cap"):
             args.cap = args.cap if args.cap is not None else _default_cap()

@@ -11,13 +11,13 @@ All arithmetic on codes is bound here, once per field: FieldSpec.ops is
 a CodeOps record of closures (add, sub, neg, mul, inv, the row update of
 elimination, the dot product and the lane update of lockstep
 elimination), which the code methods (add_code and the others), the
-element arithmetic (ff_add and the others) and the kernels of the other
-modules call.  Prime fields compute mod p.  Extension fields up to order
-2^16 use O(Q) discrete-log tables (_LogTables), built on first use, for
-products and inverses, and add by XOR for p = 2 and by Zech logarithms
-for odd p.  Larger ones multiply and reduce polynomials, invert by the
-extended Euclidean algorithm against the modulus, and add by XOR for
-p = 2 and digit by digit otherwise.
+FieldElement operators (+, -, *, / and unary -) and the kernels of the
+other modules call.  Prime fields compute mod p.  Extension fields up to
+order 2^16 use O(Q) discrete-log tables (_LogTables), built on first
+use, for products and inverses, and add by XOR for p = 2 and by Zech
+logarithms for odd p.  Larger ones multiply and reduce polynomials,
+invert by the extended Euclidean algorithm against the modulus, and add
+by XOR for p = 2 and digit by digit otherwise.
 
 Prime fields work for any prime p < 2^31.  Extension fields ship with
 fixed Conway moduli for Q in {4, 8, 9, 16, 25, 27, 32, 49, 64}; any other
@@ -38,12 +38,6 @@ from typing import Callable, NamedTuple, Sequence
 __all__ = [
     "FieldSpec",
     "FieldElement",
-    "ff_add",
-    "ff_sub",
-    "ff_neg",
-    "ff_mul",
-    "ff_inv",
-    "ff_elements",
     "parse_field",
     "parse_element",
     "format_element",
@@ -678,25 +672,31 @@ class FieldElement:
     def __add__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return ff_add(self, other)
+        spec = _require_same_field(self, other)
+        return FieldElement(spec, spec.ops.add(self.code, other.code))
 
     def __sub__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return ff_sub(self, other)
+        spec = _require_same_field(self, other)
+        return FieldElement(spec, spec.ops.sub(self.code, other.code))
 
     def __neg__(self):
-        return ff_neg(self)
+        return FieldElement(self.spec, self.spec.ops.neg(self.code))
 
     def __mul__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return ff_mul(self, other)
+        spec = _require_same_field(self, other)
+        return FieldElement(spec, spec.ops.mul(self.code, other.code))
 
     def __truediv__(self, other):
+        # the fields are checked before the inverse, so a mixed-field
+        # quotient raises ValueError even when the divisor is 0
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return ff_mul(self, ff_inv(other))
+        ops = _require_same_field(self, other).ops
+        return FieldElement(self.spec, ops.mul(self.code, ops.inv(other.code)))
 
     def __str__(self):
         return format_element(self)
@@ -709,37 +709,6 @@ def _require_same_field(a: FieldElement, b: FieldElement) -> FieldSpec:
     if a.spec != b.spec:
         raise ValueError(f"elements from different fields: {a.spec} vs {b.spec}")
     return a.spec
-
-
-def ff_add(a: FieldElement, b: FieldElement) -> FieldElement:
-    """Sum, by FieldSpec.add_code; elements of different fields raise."""
-    spec = _require_same_field(a, b)
-    return FieldElement(spec, spec.add_code(a.code, b.code))
-
-
-def ff_sub(a: FieldElement, b: FieldElement) -> FieldElement:
-    spec = _require_same_field(a, b)
-    return FieldElement(spec, spec.sub_code(a.code, b.code))
-
-
-def ff_neg(a: FieldElement) -> FieldElement:
-    return FieldElement(a.spec, a.spec.neg_code(a.code))
-
-
-def ff_mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    """Product, by FieldSpec.mul_code; elements of different fields raise."""
-    spec = _require_same_field(a, b)
-    return FieldElement(spec, spec.mul_code(a.code, b.code))
-
-
-def ff_inv(a: FieldElement) -> FieldElement:
-    """Multiplicative inverse, by FieldSpec.inv_code; zero raises."""
-    return FieldElement(a.spec, a.spec.inv_code(a.code))
-
-
-def ff_elements(spec: FieldSpec) -> list[FieldElement]:
-    """All Q elements, little-endian odometer order over coefficients."""
-    return spec.elements()
 
 
 # ----------------------------------------------------------------------

@@ -37,7 +37,6 @@ __all__ = [
     "materialize_hankel",
     "rank_gauss",
     "det",
-    "prefix",
     "jt_matrix",
     "jt_to_hankel",
     "row_reversal_sign",
@@ -161,36 +160,6 @@ class DenseMatrix:
         M._set(field, rows, cols, codes)
         return M
 
-    @classmethod
-    def from_rows(
-        cls,
-        field: FieldSpec,
-        rows: Sequence[Sequence[FieldElement]],
-        *,
-        cols: int | None = None,
-    ) -> "DenseMatrix":
-        nrows = len(rows)
-        if nrows == 0:
-            if cols is None:
-                cols = 0
-            return cls(field, 0, cols, ())
-        ncols = len(rows[0])
-        if cols is not None and cols != ncols:
-            raise ValueError("cols does not match row length")
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
-        data = tuple(e for r in rows for e in r)
-        return cls(field, nrows, ncols, data)
-
-    @classmethod
-    def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "DenseMatrix":
-        return cls._of(field, rows, cols, (0,) * (rows * cols))
-
-    @classmethod
-    def identity(cls, field: FieldSpec, n: int) -> "DenseMatrix":
-        codes = tuple(int(i == j) for i in range(n) for j in range(n))
-        return cls._of(field, n, n, codes)
-
     @property
     def data(self) -> tuple[FieldElement, ...]:
         return tuple(FieldElement(self.field, c) for c in self.codes)
@@ -208,14 +177,6 @@ class DenseMatrix:
         """Fresh mutable integer-code rows (safe to hand to the kernels)."""
         c, codes = self.cols, self.codes
         return [list(codes[i * c : (i + 1) * c]) for i in range(self.rows)]
-
-    def transpose(self) -> "DenseMatrix":
-        codes = tuple(itertools.chain.from_iterable(zip(*self.code_rows())))
-        return DenseMatrix._of(self.field, self.cols, self.rows, codes)
-
-    def reverse_rows(self) -> "DenseMatrix":
-        codes = tuple(itertools.chain.from_iterable(reversed(self.code_rows())))
-        return DenseMatrix._of(self.field, self.rows, self.cols, codes)
 
     def __str__(self):
         return "\n".join(
@@ -346,13 +307,6 @@ def det(M: DenseMatrix) -> FieldElement:
     if _pivot_loop(spec.ops, M.code_rows(), M.rows, step) < M.rows:
         return spec.zero
     return spec.element(acc)
-
-
-def prefix(x: SeqTuple, k: int) -> SeqTuple:
-    """The k-tuple of the first k entries of x."""
-    if not 0 <= k <= len(x):
-        raise ValueError(f"prefix length {k} out of range for tuple of length {len(x)}")
-    return SeqTuple.from_codes(x.field, x.codes[:k])
 
 
 def jt_matrix(y: SeqTuple, u: int, v: int) -> DenseMatrix:

@@ -64,10 +64,7 @@ def minor_rank(M: DenseMatrix) -> int:
     for k in range(min(M.rows, M.cols), 0, -1):
         for rows in itertools.combinations(range(M.rows), k):
             for cols in itertools.combinations(range(M.cols), k):
-                sub = DenseMatrix.from_rows(
-                    M.field,
-                    [[M.entry(i, j) for j in cols] for i in rows],
-                )
+                sub = DenseMatrix(M.field, k, k, [M.entry(i, j) for i in rows for j in cols])
                 if leibniz_det(sub) != zero:
                     return k
     return 0

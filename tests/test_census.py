@@ -124,7 +124,7 @@ def test_brute_count_matches_census_partial_sums():
             dist = brute_census(field, m, n)
             for r in range(min(m, n) + 2):
                 query = CountQuery(field, m, n, r)
-                assert brute_count_rank_le(query) == dist.count_le(r)
+                assert brute_count_rank_le(query) == sum(c for rho, c in dist.counts.items() if rho <= r)
 
 
 def test_brute_count_out_of_formula_regime():
@@ -394,11 +394,16 @@ def test_make_report_verdicts():
     assert r.verdict == "mismatch"  # injected fault must be detected
     r = make_report("demo", F2, {}, formula=None, observed=4)
     assert r.verdict is None
+    # only a MonteCarloEstimate gets a tolerance; exact fractions must be equal
+    r = make_report("demo", F2, {}, formula=Fraction(1, 2), observed=Fraction(1, 2))
+    assert r.verdict == "match"
+    r = make_report("demo", F2, {}, formula=Fraction(1, 2), observed=Fraction(50, 99))
+    assert r.verdict == "mismatch"
     est = MonteCarloEstimate(Fraction(1, 2), 0.01, 50, 100)
-    r = make_report("demo", F2, {}, formula=Fraction(1, 2), observed=est, mode="monte-carlo")
+    r = make_report("demo", F2, {}, formula=Fraction(1, 2), observed=est)
     assert r.verdict == "estimate-within-tolerance"
     far = MonteCarloEstimate(Fraction(9, 10), 0.01, 90, 100)
-    r = make_report("demo", F2, {}, formula=Fraction(1, 2), observed=far, mode="monte-carlo")
+    r = make_report("demo", F2, {}, formula=Fraction(1, 2), observed=far)
     assert r.verdict == "mismatch"
 
 
@@ -429,7 +434,7 @@ def test_monte_carlo_verdict_at_zero_or_all_successes():
     # zero estimated stderr) neither fails a right answer nor passes a wrong one
     def verdict(successes, trials, target):
         est = MonteCarloEstimate(Fraction(successes, trials), 0.0, successes, trials)
-        return make_report("demo", F2, {}, formula=target, observed=est, mode="monte-carlo").verdict
+        return make_report("demo", F2, {}, formula=target, observed=est).verdict
 
     assert verdict(0, 1000, Fraction(1, 101**7)) == "estimate-within-tolerance"
     assert verdict(1000, 1000, 1 - Fraction(1, 101**7)) == "estimate-within-tolerance"
@@ -439,9 +444,7 @@ def test_monte_carlo_verdict_at_zero_or_all_successes():
     query = CountQuery(FieldSpec(101), 4, 4, 1)
     est = monte_carlo_rank_le(query, 1000, 0)
     assert est.successes == 0 and est.stderr == 0.0
-    report = make_report(
-        "demo", query.field, {}, formula=rank_le_probability(query), observed=est, mode="monte-carlo"
-    )
+    report = make_report("demo", query.field, {}, formula=rank_le_probability(query), observed=est)
     assert report.verdict == "estimate-within-tolerance"
     # at the large-field criterion's operating point the band barely moves
     assert abs(target_stderr(Fraction(1, 101), 10**6) - 9.90e-5) < 1e-7

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import re
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from hankelcensus import cli
 from hankelcensus.cli import build_parser, main
 
 GOLDEN = Path(__file__).with_name("golden")
@@ -202,6 +205,74 @@ def test_verify_field_list_keeps_an_explicit_modulus_whole(capsys):
     for field, message in (("2^3:1,0,1", "degree 3"), ("2^3:1,0,1,13", "out of range")):
         code, out, err = run_cli(capsys, "verify", "--suite", "lemmas", "--field", field, "--max-n", "1")
         assert code == 2 and out == "" and message in err
+
+
+def test_verify_names_a_field_by_its_modulus_when_not_builtin(capsys):
+    # two GF(8)s read apart in text and CSV: the built-in one as GF(8), the
+    # other by its spec; a prime field, and the built-in GF(4) modulus
+    # given explicitly, keep GF(q)
+    fields = "8,2^3:1,0,1,1,3:1,1,2^2:1,1,1"
+    names = ["GF(8)", "2^3:1,0,1,1", "GF(3)", "GF(4)"]
+    argv = ["verify", "--suite", "lemmas", "--field", fields, "--max-n", "1"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    seen = [re.search(r" field=(\S+) ", line).group(1) for line in out.splitlines()[:-1]]
+    assert list(dict.fromkeys(seen)) == names
+    assert len(seen) == 4 * seen.count("GF(8)")
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [row[1] for row in rows] == seen
+
+
+def test_main_builds_one_parser_that_acts_as_a_fresh_one(capsys):
+    runs = [
+        ["count", "--field", "8", "--m", "2", "--n", "3", "--r", "2", "--mode", "both"],
+        ["census", "--field", "3", "--m", "1", "--n", "2", "--format", "csv"],
+        ["count", "--field", "3", "--m", "1"],  # usage error: --n and --r missing
+        ["rank", "--field", "2", "--m", "1", "--n", "1", "0,1,1"],
+        ["count", "--field", "3", "--m", "1", "--n", "1", "--r", "1", "--mode", "nope"],
+        ["count", "--field", "5", "--m", "1", "--n", "1", "--r", "1", "--mode", "mc",
+         "--trials", "40", "--seed", "2"],
+        ["count", "--field", "5", "--m", "1", "--n", "1", "--r", "1"],
+        ["sample", "--field", "5", "--m", "1", "--n", "1", "--r", "1", "--trials", "50"],
+        ["jt", "--field", "2", "--u", "2", "--v", "2", "--show-flip"],
+        ["verify", "--suite", "jt", "--field", "2", "--max-n", "2", "--format", "csv"],
+        ["census", "--help"],
+        ["rank", "--field", "2", "--m", "0", "--n", "0", "2"],  # parse error: exit 2
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        # verify's timing note on stderr differs from run to run
+        return code, out, err if argv[0] != "verify" else ""
+
+    cli._shared_parser.cache_clear()
+    shared = [outcome(argv) for argv in runs]
+    assert cli._shared_parser.cache_info().misses == 1
+    fresh = []
+    for argv in runs:
+        cli._shared_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 2, 0, 0, 0, 0, 0, 0, 2]
+    # build_parser still makes a new parser on each call
+    assert build_parser() is not build_parser()
+    # importing the module builds none: the benchmark times that import
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import hankelcensus.cli as c; print(c._shared_parser.cache_info().currsize)"],
+        capture_output=True, text=True, cwd=root,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
 
 
 def test_verify_negative_max_n_exits_2(capsys):

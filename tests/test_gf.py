@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import operator
 import random
 
 import pytest
@@ -12,12 +13,6 @@ from hankelcensus.gf import (
     BUILTIN_ORDERS,
     FieldElement,
     FieldSpec,
-    ff_add,
-    ff_elements,
-    ff_inv,
-    ff_mul,
-    ff_neg,
-    ff_sub,
     format_element,
     parse_element,
     parse_field,
@@ -41,27 +36,30 @@ def test_builtin_orders_construct():
 @pytest.mark.parametrize("q", AXIOM_ORDERS)
 def test_field_axioms_exhaustive(q):
     spec = FieldSpec.from_order(q)
-    elems = ff_elements(spec)
+    elems = spec.elements()
     zero, one = spec.zero, spec.one
     for a in elems:
-        assert ff_add(a, zero) == a
-        assert ff_mul(a, one) == a
-        assert ff_add(a, -a) == zero
+        assert a + zero == a
+        assert a * one == a
+        assert a + -a == zero
+        assert a - a == zero
         if a != zero:
-            assert ff_mul(a, ff_inv(a)) == one
+            assert a * (one / a) == one
+            assert a / a == one
     for a, b in itertools.product(elems, repeat=2):
-        assert ff_add(a, b) == ff_add(b, a)
-        assert ff_mul(a, b) == ff_mul(b, a)
+        assert a + b == b + a
+        assert a * b == b * a
+        assert a - b == a + -b
     for a, b, c in itertools.product(elems, repeat=3):
-        assert ff_add(ff_add(a, b), c) == ff_add(a, ff_add(b, c))
-        assert ff_mul(ff_mul(a, b), c) == ff_mul(a, ff_mul(b, c))
-        assert ff_mul(a, ff_add(b, c)) == ff_add(ff_mul(a, b), ff_mul(a, c))
+        assert (a + b) + c == a + (b + c)
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
 
 
 @pytest.mark.parametrize("q", AXIOM_ORDERS)
 def test_elements_unique_and_complete(q):
     spec = FieldSpec.from_order(q)
-    elems = ff_elements(spec)
+    elems = spec.elements()
     assert len(elems) == q
     assert len(set(elems)) == q
     assert elems[0] == spec.zero
@@ -69,50 +67,50 @@ def test_elements_unique_and_complete(q):
 
 
 def test_element_order_examples():
-    assert [str(e) for e in ff_elements(FieldSpec(3))] == ["0", "1", "2"]
-    assert [str(e) for e in ff_elements(FieldSpec.from_order(4))] == ["0", "1", "t", "1+t"]
+    assert [str(e) for e in FieldSpec(3).elements()] == ["0", "1", "2"]
+    assert [str(e) for e in FieldSpec.from_order(4).elements()] == ["0", "1", "t", "1+t"]
 
 
 def test_add_examples():
     f5 = FieldSpec(5)
-    assert ff_add(f5.element(3), f5.element(4)) == f5.element(2)
+    assert f5.element(3) + f5.element(4) == f5.element(2)
     f4 = FieldSpec.from_order(4)
     t = f4.element(2)
-    assert ff_add(t, t) == f4.zero
+    assert t + t == f4.zero
     f9 = FieldSpec.from_order(9)
-    for x in ff_elements(f9):
-        assert ff_add(x, f9.zero) == x
+    for x in f9.elements():
+        assert x + f9.zero == x
 
 
 def test_mul_examples():
     f5 = FieldSpec(5)
-    assert ff_mul(f5.element(3), f5.element(4)) == f5.element(2)
+    assert f5.element(3) * f5.element(4) == f5.element(2)
     # t * t reduces by the modulus t^2 + t + 1, so t^2 = -(t+1) = 1+t over GF(2)
     f4 = FieldSpec.from_order(4)
     t = f4.element(2)
-    assert ff_mul(t, t) == f4.element((1, 1))
+    assert t * t == f4.element((1, 1))
     f9 = FieldSpec.from_order(9)
-    for x in ff_elements(f9):
-        assert ff_mul(x, f9.one) == x
+    for x in f9.elements():
+        assert x * f9.one == x
 
 
 def test_inv_examples():
     f5 = FieldSpec(5)
-    assert ff_inv(f5.element(2)) == f5.element(3)
+    assert f5.one / f5.element(2) == f5.element(3)
     f2 = FieldSpec(2)
-    assert ff_inv(f2.one) == f2.one
+    assert f2.one / f2.one == f2.one
     # from t*t = 1+t it follows that t*(1+t) = t^2+t = 1
     f4 = FieldSpec.from_order(4)
-    assert ff_inv(f4.element(2)) == f4.element((1, 1))
+    assert f4.one / f4.element(2) == f4.element((1, 1))
     # every field class: mod p, log tables with XOR or Zech sums, and
     # polynomial arithmetic above 2^16 for p = 2 and odd p; the bound
     # inverse raises too, not only the element and code operations
     f9, big = FieldSpec.from_order(9), FieldSpec(2**31 - 1)
     for spec in (f5, f2, f4, f9, parse_field(GF2_17), parse_field(GF3_11), big):
         with pytest.raises(ZeroDivisionError):
-            ff_inv(spec.zero)
-        with pytest.raises(ZeroDivisionError):
             spec.one / spec.zero
+        with pytest.raises(ZeroDivisionError):
+            spec.inv_code(0)
         with pytest.raises(ZeroDivisionError):
             spec.ops.inv(0)
         a = spec.order - 1
@@ -131,16 +129,24 @@ def test_mismatched_fields_rejected():
     )
     for a, b in pairs:
         assert a != b
-        for op in (ff_add, ff_sub, ff_mul):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
             with pytest.raises(ValueError):
                 op(a, b)
+            with pytest.raises(ValueError):
+                op(b, a)
         with pytest.raises(ValueError):
             a.spec.element(b)
+    # the fields are checked before the divisor is inverted, so a zero
+    # divisor from another field is a ValueError, not a ZeroDivisionError
+    for a, b in ((f2.one, f3.zero), (f3.one, f2.zero), (f2.zero, f3.zero)):
+        with pytest.raises(ValueError):
+            a / b
     # equal specs constructed twice interoperate
     g1 = FieldSpec(2, 2, (1, 1, 1))
     g2 = FieldSpec(2, 2, (1, 1, 1))
     assert g1 == g2 and hash(g1) == hash(g2)
-    assert ff_sub(g1.one, g2.one) == g1.zero
+    assert g1.one - g2.one == g1.zero
+    assert g1.one / g2.one == g1.one
 
 
 def test_prime_validation():
@@ -149,7 +155,7 @@ def test_prime_validation():
             FieldSpec(bad)
     big = FieldSpec(2147483647)  # largest prime below 2^31
     a = big.element(123456789)
-    assert ff_mul(a, ff_inv(a)) == big.one
+    assert a * (big.one / a) == big.one
 
 
 def test_modulus_validation():
@@ -218,7 +224,7 @@ def test_element_text_round_trip(q):
     spec = parse_field(str(q))
     if spec.order <= 27:
         codes = range(spec.order)
-        assert [e.code for e in ff_elements(spec)] == list(codes)
+        assert [e.code for e in spec.elements()] == list(codes)
     else:
         codes = (0, 1, 2, spec.p - 1, 12345, spec.order // 3, spec.order - 1)
     for code in codes:
@@ -232,7 +238,7 @@ def test_element_text_round_trip(q):
         assert hash(e) == hash(from_coeffs) == hash(parsed)
         assert len({e, from_coeffs, parsed}) == 1
         assert bool(e) == (code != 0) == any(e.coeffs)
-        assert ff_add(e, ff_neg(e)) == spec.zero
+        assert e + -e == spec.zero
     if spec.d > 2:
         top = spec.element((1,) + (0,) * (spec.d - 2) + (1,))
         assert top.code == 1 + spec.p ** (spec.d - 1)
@@ -336,7 +342,7 @@ def test_element_operators():
     assert a + b == f7.element(1)
     assert a - b == f7.element(5)
     assert a * b == f7.element(1)
-    assert a / b == a * ff_inv(b)
+    assert a / b == f7.element(2)  # 5 * 2 = 3 mod 7
     assert -a == f7.element(4)
     assert bool(a) and not bool(f7.zero)
 

@@ -8,7 +8,7 @@ import random
 import pytest
 
 import oracles
-from hankelcensus.gf import FieldElement, FieldSpec, ff_elements
+from hankelcensus.gf import FieldElement, FieldSpec
 from hankelcensus.hankel import (
     DenseMatrix,
     HankelShape,
@@ -19,7 +19,6 @@ from hankelcensus.hankel import (
     jt_matrix,
     jt_to_hankel,
     materialize_hankel,
-    prefix,
     rank_gauss,
     row_reversal_sign,
 )
@@ -93,20 +92,28 @@ def test_rank_one_patterns():
     [(F2, 2, 3), (F2, 3, 3), (F3, 2, 2), (F3, 2, 3), (F4, 2, 3), (F9, 2, 2)],
 )
 def test_rank_matches_minor_oracle(field, rows, cols):
-    elems = ff_elements(field)
+    elems = field.elements()
     for data in itertools.product(elems, repeat=rows * cols):
         M = DenseMatrix(field, rows, cols, data)
         assert rank_gauss(M) == oracles.minor_rank(M)
 
 
+def identity(field, n):
+    return DenseMatrix(field, n, n, [field.element(int(i == j)) for i in range(n) for j in range(n)])
+
+
+def zeros(field, rows, cols):
+    return DenseMatrix(field, rows, cols, [field.zero] * (rows * cols))
+
+
 def test_det_identity():
-    assert det(DenseMatrix.identity(F3, 2)) == F3.one
-    assert det(DenseMatrix.identity(F3, 0)) == F3.one
+    assert det(identity(F3, 2)) == F3.one
+    assert det(identity(F3, 0)) == F3.one
 
 
 def test_det_matches_leibniz_exhaustive():
     for field, n in ((F3, 2), (F2, 3), (F4, 2), (F9, 2)):
-        elems = ff_elements(field)
+        elems = field.elements()
         for data in itertools.product(elems, repeat=n * n):
             M = DenseMatrix(field, n, n, data)
             assert det(M) == oracles.leibniz_det(M)
@@ -122,7 +129,7 @@ def test_det_matches_leibniz_random_larger():
 
 
 def test_det_zero_iff_rank_deficient():
-    elems = ff_elements(F3)
+    elems = F3.elements()
     for data in itertools.product(elems, repeat=4):
         M = DenseMatrix(F3, 2, 2, data)
         assert (det(M) == F3.zero) == (rank_gauss(M) < 2)
@@ -130,7 +137,7 @@ def test_det_zero_iff_rank_deficient():
 
 def test_det_requires_square():
     with pytest.raises(ValueError):
-        det(DenseMatrix.zeros(F2, 2, 3))
+        det(zeros(F2, 2, 3))
 
 
 def test_jt_det_example_cubic():
@@ -164,8 +171,8 @@ def left_kernel_dim(M):
 
 
 def test_left_kernel_dim_examples():
-    assert left_kernel_dim(DenseMatrix.zeros(F2, 2, 2)) == 2
-    assert left_kernel_dim(DenseMatrix.identity(F3, 3)) == 0
+    assert left_kernel_dim(zeros(F2, 2, 2)) == 2
+    assert left_kernel_dim(identity(F3, 3)) == 0
     M = materialize_hankel(seq(F2, [0, 0, 0, 0, 0, 1]), HankelShape(2, 3))
     assert left_kernel_dim(M) == 2
     # the annihilators of M form a subspace of size 2^2; oracle counts them
@@ -174,22 +181,11 @@ def test_left_kernel_dim_examples():
 
 @pytest.mark.parametrize("rows,cols", [(2, 2), (2, 3), (3, 2)])
 def test_left_kernel_dim_vs_enumeration(rows, cols):
-    elems = ff_elements(F2)
+    elems = F2.elements()
     for data in itertools.product(elems, repeat=rows * cols):
         M = DenseMatrix(F2, rows, cols, data)
         dim = left_kernel_dim(M)
         assert oracles.annihilator_count(M, include_zero=True) == 2**dim
-
-
-def test_prefix():
-    x = seq(F7, [1, 2, 3, 4, 5])
-    assert prefix(x, 3) == seq(F7, [1, 2, 3])
-    assert prefix(x, 0) == SeqTuple(F7, ())
-    assert prefix(x, 5) == x
-    with pytest.raises(ValueError):
-        prefix(x, 6)
-    with pytest.raises(ValueError):
-        prefix(x, -1)
 
 
 def test_jt_matrix_structure_u1_v3():
@@ -295,7 +291,7 @@ def test_jt_flip_matrix_equality(field):
             for y in iter_seq_tuples(field, total):
                 J = jt_matrix(y, u, v)
                 H = materialize_hankel(jt_to_hankel(y, u, v), HankelShape(v - 1, v - 1))
-                assert H == J.reverse_rows()
+                assert [H.row(i) for i in range(v)] == [J.row(i) for i in reversed(range(v))]
 
 
 @pytest.mark.parametrize("field", [F2, F3])
@@ -318,8 +314,14 @@ def test_rank_transpose_invariant():
             for cdeg in range(-1, 6 - max(rdeg, 0) + 1):
                 if rdeg + cdeg > 5:
                     continue
+                # a Hankel view's transpose is the view of the swapped shape
                 M = materialize_hankel(x, HankelShape(rdeg, cdeg))
-                assert rank_gauss(M) == rank_gauss(M.transpose())
+                T = materialize_hankel(x, HankelShape(cdeg, rdeg))
+                assert (T.rows, T.cols) == (M.cols, M.rows)
+                assert all(
+                    T.entry(j, i) == M.entry(i, j) for i in range(M.rows) for j in range(M.cols)
+                )
+                assert rank_gauss(M) == rank_gauss(T)
 
 
 def test_submatrix_rank_bounded():
@@ -331,9 +333,7 @@ def test_submatrix_rank_bounded():
         for _ in range(4):
             rows = sorted(rng.sample(range(3), rng.randint(1, 3)))
             cols = sorted(rng.sample(range(3), rng.randint(1, 3)))
-            sub = DenseMatrix.from_rows(
-                F2, [[M.entry(i, j) for j in cols] for i in rows]
-            )
+            sub = DenseMatrix(F2, len(rows), len(cols), [M.entry(i, j) for i in rows for j in cols])
             assert rank_gauss(sub) <= r
 
 
@@ -348,7 +348,7 @@ def test_appending_column_changes_rank_by_at_most_one():
 
 
 def test_vec_mat_mul():
-    M = DenseMatrix.identity(F3, 3)
+    M = identity(F3, 3)
     v = RowVector.from_codes(F3, [1, 2, 0])
     assert oracles.vec_mat_mul(v, M) == v
     with pytest.raises(ValueError):
@@ -361,7 +361,7 @@ def test_iter_seq_tuples():
     tuples = list(iter_seq_tuples(F3, 2))
     assert len(tuples) == 9
     assert len(set(t.codes for t in tuples)) == 9
-    assert tuples == [SeqTuple(F3, t) for t in itertools.product(ff_elements(F3), repeat=2)]
+    assert tuples == [SeqTuple(F3, t) for t in itertools.product(F3.elements(), repeat=2)]
     fixed = list(iter_seq_tuples(F3, 3, seq(F3, [2])))
     assert len(fixed) == 9
     assert all(t.codes[0] == 2 for t in fixed)
@@ -378,9 +378,7 @@ def test_dense_matrix_validation():
         DenseMatrix(F2, 2, 2, (F2.one,) * 3)
     with pytest.raises(ValueError):
         DenseMatrix(F2, 1, 1, (F3.one,))
-    with pytest.raises(ValueError):
-        DenseMatrix.from_rows(F2, [[F2.one], [F2.one, F2.zero]])
-    M = DenseMatrix.identity(F2, 2)
+    M = identity(F2, 2)
     with pytest.raises(IndexError):
         M.entry(2, 0)
 

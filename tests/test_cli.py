@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from hankelcensus import cli
+from hankelcensus.census import make_report
 from hankelcensus.cli import build_parser, main
 
 GOLDEN = Path(__file__).with_name("golden")
@@ -123,6 +124,64 @@ def test_count_json_schema(capsys):
     assert record["observed"] == "4"
     assert record["verdict"] == "match"
     assert isinstance(record["elapsed_ms"], int)
+
+
+# each command run under a closed form made wrong on purpose: an exact
+# formula off by one, or a target probability replaced by its complement
+MISMATCH_RUNS = (
+    ("count_rank_le_formula", "count --field 2 --m 2 --n 3 --r 1 --mode both"),
+    ("count_jt_singular_formula", "jt --field 2 --u 2 --v 3 --mode both"),
+    ("count_rank_eq_formula", "census --field 2 --m 1 --n 1"),
+    ("rank_le_probability", "count --field 9 --m 2 --n 3 --r 2 --mode mc --trials 2000 --seed 1"),
+    ("rank_le_probability", "sample --field 101 --m 2 --n 2 --r 1 --trials 500"),
+)
+
+
+@pytest.mark.parametrize("name, run", MISMATCH_RUNS)
+def test_a_wrong_formula_is_a_mismatch_and_exit_1(capsys, monkeypatch, name, run):
+    right = getattr(cli, name)
+
+    def wrong(*args):
+        value = right(*args)
+        return 1 - value if name == "rank_le_probability" else value + 1
+
+    monkeypatch.setattr(cli, name, wrong)
+    argv = run.split()
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert out.splitlines()[-1] == "verdict: mismatch"
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 1
+    records = json.loads(out)
+    records = records if isinstance(records, list) else [records]
+    assert "mismatch" in {record["verdict"] for record in records}
+    if argv[0] == "census":
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 1 and out.startswith("rank,count\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_verify_exits_1_when_one_report_is_a_mismatch(capsys, monkeypatch, fmt):
+    def one_wrong(suite, fields, **kwargs):
+        field = fields[0]
+        return [
+            make_report("ok", field, {"m": 1}, formula=2, observed=2),
+            make_report("off", field, {"m": 2}, formula=3, observed=4),
+        ]
+
+    monkeypatch.setattr(cli, "verify", one_wrong)
+    code, out, _ = run_cli(capsys, "verify", "--field", "2", "--format", fmt)
+    assert code == 1
+    if fmt == "text":
+        assert out.splitlines()[1].startswith("FAIL off field=GF(2) m=2")
+        assert out.splitlines()[-1] == "result: fail (2 checks, 1 failures)"
+    elif fmt == "json":
+        records = json.loads(out)
+        assert [(r["command"], r["verdict"]) for r in records] == [
+            ("verify/ok", "match"), ("verify/off", "mismatch")
+        ]
+    else:
+        assert out.splitlines()[-1] == "off,GF(2),m=2,3,4,mismatch"
 
 
 def test_census_text_and_exit(capsys):

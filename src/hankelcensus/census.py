@@ -173,6 +173,23 @@ class CapExceededError(RuntimeError):
         self.reports: list[CensusReport] = []
 
 
+def _checked_prefix(field: FieldSpec, prefix: SeqTuple | None, m: int, n: int, r: int | None = None) -> SeqTuple:
+    """The prefix of a count over H_{m,n}, the empty one for None, once m, n
+    (and r, if given) are >= 0 and the prefix fits an (m+n+1)-tuple over
+    `field`."""
+    sizes = {"m": m, "n": n} if r is None else {"m": m, "n": n, "r": r}
+    if min(sizes.values()) < 0:
+        got = ", ".join(f"{name}={value}" for name, value in sizes.items())
+        raise ValueError(f"need {', '.join(sizes)} >= 0, got {got}")
+    if prefix is None:
+        prefix = SeqTuple(field, ())
+    if prefix.field != field:
+        raise ValueError("prefix lives in a different field")
+    if len(prefix) > m + n + 1:
+        raise ValueError(f"prefix length {len(prefix)} exceeds tuple length {m + n + 1}")
+    return prefix
+
+
 @dataclass(frozen=True)
 class CountQuery:
     """Parameters of a prefix-fixed rank-bound count.
@@ -191,15 +208,9 @@ class CountQuery:
     regime: str = dataclass_field(init=False)
 
     def __post_init__(self):
-        if self.prefix is None:
-            object.__setattr__(self, "prefix", SeqTuple(self.field, ()))
-        if self.m < 0 or self.n < 0 or self.r < 0:
-            raise ValueError(f"need m, n, r >= 0, got m={self.m}, n={self.n}, r={self.r}")
-        if self.prefix.field != self.field:
-            raise ValueError("prefix lives in a different field")
-        k = len(self.prefix)
-        if k > self.m + self.n + 1:
-            raise ValueError(f"prefix length {k} exceeds tuple length {self.m + self.n + 1}")
+        prefix = _checked_prefix(self.field, self.prefix, m=self.m, n=self.n, r=self.r)
+        object.__setattr__(self, "prefix", prefix)
+        k = len(prefix)
         if k <= self.r <= self.m and self.r <= self.n:
             regime = "standard"
         elif k <= self.r and self.r == self.m == self.n + 1:
@@ -603,16 +614,8 @@ def brute_census(
     cap: int = DEFAULT_CAP,
 ) -> RankDistribution:
     """Full rank histogram over all prefix completions."""
-    if m < 0 or n < 0:
-        raise ValueError(f"need m, n >= 0, got m={m}, n={n}")
-    if prefix is None:
-        prefix = SeqTuple(field, ())
-    if prefix.field != field:
-        raise ValueError("prefix lives in a different field")
-    k = len(prefix)
-    if k > m + n + 1:
-        raise ValueError(f"prefix length {k} exceeds tuple length {m + n + 1}")
-    free = m + n + 1 - k
+    prefix = _checked_prefix(field, prefix, m=m, n=n)
+    free = m + n + 1 - len(prefix)
     max_rank = min(m, n) + 1
     tallies = _tally_ranks(field, prefix.codes, free, (m, n), max_rank, cap)
     counts = {rho: tallies[rho] for rho in range(max_rank + 1)}

@@ -4,15 +4,20 @@ Commands: rank, count, census, jt, verify, sample.  Output goes to stdout
 (or --output) as text, JSON, or CSV; progress and timing notes go to
 stderr so that reports are byte-identical from run to run.
 
-Exit codes: 0 success / match, 1 verification mismatch, 2 usage or parse
-error, 3 enumeration cap exceeded.  The cap, 10^7 by default, is charged
+Every command builds its results as CensusReports.  Exit codes: 0
+success, 1 when some report's verdict is "mismatch" (an exact count that
+differs from its closed form, or a `sample` or `count --mode mc` estimate
+more than four target standard errors off), 2 usage or parse error, 3
+enumeration cap exceeded.  The cap, 10^7 by default, is charged
 before any work starts: Q^(free) for a count or census with `free` open
 entries, Q^(u+v-1) for a jt count on either path, and the size of each
 tuple sweep for the verify suites.  It can be overridden with --cap or the
 HANKEL_CENSUS_CAP variable.
 
-JSON records carry a fixed schema (field "schema": 1); exact counts are
-serialized as decimal strings because they outgrow doubles quickly.
+JSON output is one record per report, an object for rank, count, jt and
+sample and a list for census and verify.  Records carry a fixed schema
+(field "schema": 1); exact counts are serialized as decimal strings
+because they outgrow doubles quickly.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from hankelcensus.census import (
     DEFAULT_CAP,
@@ -101,10 +105,6 @@ def _parse_tuple(field: FieldSpec, text: str | None) -> SeqTuple:
     return SeqTuple(field, entries)
 
 
-def _field_json(field: FieldSpec) -> dict:
-    return {"p": field.p, "d": field.d, "modulus": list(field.modulus)}
-
-
 def _field_name(field: FieldSpec) -> str:
     """GF(q) for a prime field or one with its order's built-in modulus,
     else the spec string, so that two fields of one order read apart."""
@@ -114,14 +114,9 @@ def _field_name(field: FieldSpec) -> str:
 
 
 def _value_json(value):
+    """A count or probability as a decimal string, an estimate as an object."""
     if value is None:
         return None
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, MonteCarloEstimate):
         return {
             "successes": str(value.successes),
@@ -135,41 +130,21 @@ def _value_json(value):
 _VERDICT_JSON = {"estimate-within-tolerance": "estimate"}
 
 
-def _record_json(
-    command: str,
-    field: FieldSpec,
-    params: dict,
-    formula,
-    observed,
-    verdict,
-    elapsed_ms: int,
-) -> dict:
+def _report_record(report: CensusReport, command_prefix: str = "") -> dict:
     return {
         "schema": _SCHEMA_VERSION,
-        "field": _field_json(field),
-        "command": command,
-        "params": {k: _value_json(v) if isinstance(v, (Fraction, MonteCarloEstimate)) else v for k, v in params.items()},
-        "formula": _value_json(formula),
-        "observed": _value_json(observed),
-        "verdict": _VERDICT_JSON.get(verdict, verdict),
-        "elapsed_ms": elapsed_ms,
+        "field": {"p": report.field.p, "d": report.field.d, "modulus": list(report.field.modulus)},
+        "command": command_prefix + report.check,
+        "params": report.params,
+        "formula": _value_json(report.formula_value),
+        "observed": _value_json(report.observed_value),
+        "verdict": _VERDICT_JSON.get(report.verdict, report.verdict),
+        "elapsed_ms": int(report.elapsed_s * 1000),
     }
 
 
-def _report_record(command: str, report: CensusReport) -> dict:
-    return _record_json(
-        f"{command}/{report.check}",
-        report.field,
-        report.params,
-        report.formula_value,
-        report.observed_value,
-        report.verdict,
-        int(report.elapsed_s * 1000),
-    )
-
-
 def _emit(args, text: str) -> None:
-    if getattr(args, "output", "-") in (None, "-"):
+    if args.output in (None, "-"):
         sys.stdout.write(text)
     else:
         try:
@@ -177,10 +152,6 @@ def _emit(args, text: str) -> None:
                 fh.write(text)
         except OSError as exc:
             raise ValueError(f"cannot write --output {args.output}: {exc.strerror or exc}") from exc
-
-
-def _emit_json(args, payload) -> None:
-    _emit(args, json.dumps(payload, indent=2) + "\n")
 
 
 def _params_text(params: dict) -> str:
@@ -191,82 +162,106 @@ def _float_text(x: float) -> str:
     return format(x, ".6g")
 
 
+def _text(lines: list[str]) -> str:
+    return "\n".join(lines) + "\n"
+
+
+def _csv(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _mismatches(reports: list[CensusReport]) -> int:
+    return sum(1 for r in reports if r.verdict == "mismatch")
+
+
+def _since(started: float) -> float:
+    return time.perf_counter() - started
+
+
 # ----------------------------------------------------------------------
 # Command handlers
+#
+# Each returns its result, one CensusReport or a list of them, and a
+# function that renders it as text (or CSV); `main` writes JSON itself and
+# picks the exit code from the verdicts.
 # ----------------------------------------------------------------------
 
 
-def _cmd_rank(args) -> int:
+def _cmd_rank(args):
     started = time.perf_counter()
     field = parse_field(args.field)
+    if args.m < 0 or args.n < 0:
+        raise ValueError(f"need m, n >= 0, got m={args.m}, n={args.n}")
     x = _parse_tuple(field, args.entries)
     expected = args.m + args.n + 1
     if len(x) != expected:
         raise ValueError(f"need {expected} entries for m={args.m}, n={args.n}, got {len(x)}")
     rank, shape = rank_via_reduction(x, args.m, args.n)
-    elapsed_ms = int((time.perf_counter() - started) * 1000)
-    params = {"m": args.m, "n": args.n, "entries": str(x)}
-    if args.format == "json":
-        record = _record_json("rank", field, {**params, "reduced_shape": [shape.rdeg, shape.cdeg]}, None, rank, None, elapsed_ms)
-        _emit_json(args, record)
-    else:
-        lines = [
-            f"field: {field}",
-            f"shape: H({args.m},{args.n})",
-            f"rank: {rank}",
-            f"reduced-shape: H({shape.rdeg},{shape.cdeg})",
-        ]
-        _emit(args, "\n".join(lines) + "\n")
-    return 0
+    params = {"m": args.m, "n": args.n, "entries": str(x), "reduced_shape": [shape.rdeg, shape.cdeg]}
+    report = make_report("rank", field, params, formula=None, observed=rank, elapsed_s=_since(started))
+    return report, lambda: _text([
+        f"field: {field}", f"shape: H({args.m},{args.n})", f"rank: {rank}", f"reduced-shape: H({shape.rdeg},{shape.cdeg})"
+    ])
 
 
-def _cmd_count(args) -> int:
-    started = time.perf_counter()
+def _query(args) -> CountQuery:
     field = parse_field(args.field)
-    prefix = _parse_tuple(field, args.prefix)
-    query = CountQuery(field, args.m, args.n, args.r, prefix)
+    return CountQuery(field, args.m, args.n, args.r, _parse_tuple(field, args.prefix))
+
+
+def _estimate(args, query: CountQuery, params: dict, started: float) -> CensusReport:
+    """The seeded Monte Carlo estimate of P(rank <= r) against its target."""
+    target = rank_le_probability(query)
+    est = monte_carlo_rank_le(query, args.trials, args.seed)
+    return make_report(args.command, query.field, params, formula=target, observed=est, elapsed_s=_since(started))
+
+
+def _estimate_lines(report: CensusReport, *before_verdict: str) -> list[str]:
+    est, target = report.observed_value, report.formula_value
+    return [
+        f"estimate: {est.estimate} = {_float_text(float(est.estimate))}",
+        f"stderr: {_float_text(est.stderr)}",
+        f"target: {target} = {_float_text(float(target))}",
+        *before_verdict,
+        f"verdict: {report.verdict}",
+    ]
+
+
+def _formula_brute(args, field: FieldSpec, params: dict, formula, brute, started: float) -> CensusReport:
+    """Run the closed form, the brute count or both, as --mode says; each
+    is called with no arguments."""
+    value = formula() if args.mode in ("formula", "both") else None
+    observed = brute() if args.mode in ("brute", "both") else None
+    return make_report(args.command, field, params, formula=value, observed=observed, elapsed_s=_since(started))
+
+
+def _formula_brute_lines(report: CensusReport) -> list[str]:
+    named = (("formula", report.formula_value), ("brute", report.observed_value), ("verdict", report.verdict))
+    return [f"{name}: {value}" for name, value in named if value is not None]
+
+
+def _cmd_count(args):
+    started = time.perf_counter()
+    query = _query(args)
+    field = query.field
     params = {"m": args.m, "n": args.n, "r": args.r, "k": query.k}
     if query.k:
-        params["prefix"] = str(prefix)
-    lines = [f"field: {field}", f"params: {_params_text(params)}"]
-
+        params["prefix"] = str(query.prefix)
     if args.mode == "mc":
-        target = rank_le_probability(query)
-        est = monte_carlo_rank_le(query, args.trials, args.seed)
-        report = make_report("count", field, params, formula=target, observed=est)
-        elapsed_ms = int((time.perf_counter() - started) * 1000)
-        if args.format == "json":
-            _emit_json(args, _record_json("count", field, {**params, "trials": args.trials, "seed": args.seed}, target, est, report.verdict, elapsed_ms))
-        else:
-            lines += [
-                f"estimate: {est.estimate} = {_float_text(float(est.estimate))}",
-                f"stderr: {_float_text(est.stderr)}",
-                f"target: {target} = {_float_text(float(target))}",
-                f"verdict: {report.verdict}",
-            ]
-            _emit(args, "\n".join(lines) + "\n")
-        return 0 if report.verdict == "estimate-within-tolerance" else 1
-
-    formula = observed = None
-    if args.mode in ("formula", "both"):
-        formula = count_rank_le_formula(query)
-        lines.append(f"formula: {formula}")
-    if args.mode in ("brute", "both"):
-        observed = brute_count_rank_le(query, args.cap)
-        lines.append(f"brute: {observed}")
-    verdict = None
-    if args.mode == "both":
-        verdict = "match" if formula == observed else "mismatch"
-        lines.append(f"verdict: {verdict}")
-    elapsed_ms = int((time.perf_counter() - started) * 1000)
-    if args.format == "json":
-        _emit_json(args, _record_json("count", field, {**params, "mode": args.mode}, formula, observed, verdict, elapsed_ms))
+        report = _estimate(args, query, {**params, "trials": args.trials, "seed": args.seed}, started)
+        body = _estimate_lines
     else:
-        _emit(args, "\n".join(lines) + "\n")
-    return 1 if verdict == "mismatch" else 0
+        report = _formula_brute(
+            args, field, {**params, "mode": args.mode},
+            lambda: count_rank_le_formula(query), lambda: brute_count_rank_le(query, args.cap), started,
+        )
+        body = _formula_brute_lines
+    return report, lambda: _text([f"field: {field}", f"params: {_params_text(params)}"] + body(report))
 
 
-def _cmd_census(args) -> int:
+def _cmd_census(args):
     started = time.perf_counter()
     field = parse_field(args.field)
     prefix = _parse_tuple(field, args.prefix)
@@ -275,53 +270,31 @@ def _cmd_census(args) -> int:
     # the closed form for exact ranks has no prefix; compare only when k = 0,
     # swapping degrees if needed since rank is transpose-invariant
     lo, hi = sorted((args.m, args.n))
-    compare = k == 0
-    elapsed_ms = int((time.perf_counter() - started) * 1000)
-    mismatch = False
-    rows = []
-    for rank, count in dist.sorted_items():
-        formula = count_rank_eq_formula(field, lo, hi, rank) if compare else None
-        verdict = None
-        if compare:
-            verdict = "match" if formula == count else "mismatch"
-            mismatch = mismatch or verdict == "mismatch"
-        rows.append((rank, count, formula, verdict))
+    elapsed_s = _since(started)
+    reports = [
+        make_report(
+            "census", field, {"m": args.m, "n": args.n, "k": k, "rank": rank},
+            formula=count_rank_eq_formula(field, lo, hi, rank) if k == 0 else None,
+            observed=count, elapsed_s=elapsed_s,
+        )
+        for rank, count in dist.sorted_items()
+    ]
 
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["rank", "count"])
-        for rank, count, _, _ in rows:
-            writer.writerow([rank, count])
-        _emit(args, buf.getvalue())
-    elif args.format == "json":
-        records = [
-            _record_json(
-                "census",
-                field,
-                {"m": args.m, "n": args.n, "k": k, "rank": rank},
-                formula,
-                count,
-                verdict,
-                elapsed_ms,
-            )
-            for rank, count, formula, verdict in rows
-        ]
-        _emit_json(args, records)
-    else:
+    def render():
+        if args.format == "csv":
+            return _csv([["rank", "count"]] + [[r.params["rank"], r.observed_value] for r in reports])
         params = {"m": args.m, "n": args.n, "k": k}
         if k:
             params["prefix"] = str(prefix)
         lines = [f"field: {field}", f"params: {_params_text(params)}", f"total: {dist.total}"]
-        for rank, count, formula, verdict in rows:
-            if compare:
-                lines.append(f"rank {rank}: {count} formula {formula} {verdict}")
-            else:
-                lines.append(f"rank {rank}: {count}")
-        if compare:
-            lines.append(f"verdict: {'mismatch' if mismatch else 'match'}")
-        _emit(args, "\n".join(lines) + "\n")
-    return 1 if mismatch else 0
+        for r in reports:
+            line = f"rank {r.params['rank']}: {r.observed_value}"
+            lines.append(line if k else f"{line} formula {r.formula_value} {r.verdict}")
+        if not k:
+            lines.append(f"verdict: {'mismatch' if _mismatches(reports) else 'match'}")
+        return _text(lines)
+
+    return reports, render
 
 
 def _flip_pattern(u: int, v: int) -> str:
@@ -332,7 +305,7 @@ def _flip_pattern(u: int, v: int) -> str:
     return "(" + ",".join(names) + ")"
 
 
-def _cmd_jt(args) -> int:
+def _cmd_jt(args):
     started = time.perf_counter()
     field = parse_field(args.field)
     if args.u < 1 or args.v < 1:
@@ -342,30 +315,24 @@ def _cmd_jt(args) -> int:
             "the singular count is 0 rather than a power of the field order"
         )
     params = {"u": args.u, "v": args.v}
-    lines = [f"field: {field}", f"params: {_params_text(params)}"]
-    formula = observed = None
-    if args.mode in ("formula", "both"):
-        formula = count_jt_singular_formula(field, args.u, args.v)
-        lines.append(f"formula: {formula}")
-    if args.mode in ("brute", "both"):
-        observed = brute_count_jt_singular(field, args.u, args.v, args.cap, path=args.path)
-        lines.append(f"brute: {observed}")
-    verdict = None
-    if args.mode == "both":
-        verdict = "match" if formula == observed else "mismatch"
-        lines.append(f"verdict: {verdict}")
-    if args.show_flip:
-        sign = row_reversal_sign(field, args.v)
-        lines.append(
-            f"flip: x = {_flip_pattern(args.u, args.v)} -> H({args.v - 1},{args.v - 1}), "
-            f"row-reversal sign {sign}"
-        )
-    elapsed_ms = int((time.perf_counter() - started) * 1000)
-    if args.format == "json":
-        _emit_json(args, _record_json("jt", field, {**params, "mode": args.mode, "path": args.path}, formula, observed, verdict, elapsed_ms))
-    else:
-        _emit(args, "\n".join(lines) + "\n")
-    return 1 if verdict == "mismatch" else 0
+    report = _formula_brute(
+        args, field, {**params, "mode": args.mode, "path": args.path},
+        lambda: count_jt_singular_formula(field, args.u, args.v),
+        lambda: brute_count_jt_singular(field, args.u, args.v, args.cap, path=args.path),
+        started,
+    )
+
+    def render():
+        lines = [f"field: {field}", f"params: {_params_text(params)}"] + _formula_brute_lines(report)
+        if args.show_flip:
+            sign = row_reversal_sign(field, args.v)
+            lines.append(
+                f"flip: x = {_flip_pattern(args.u, args.v)} -> H({args.v - 1},{args.v - 1}), "
+                f"row-reversal sign {sign}"
+            )
+        return _text(lines)
+
+    return report, render
 
 
 _VERDICT_WORD = {
@@ -377,65 +344,48 @@ _VERDICT_WORD = {
 }
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     started = time.perf_counter()
     fields = _parse_fields(args.field)
     reports = verify(args.suite, fields, max_n=args.max_n, cap=args.cap)
-    elapsed = time.perf_counter() - started
-    failures = sum(1 for r in reports if r.verdict == "mismatch")
-    if args.format == "json":
-        _emit_json(args, [_report_record("verify", r) for r in reports])
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["check", "field", "params", "formula", "observed", "verdict"])
-        for r in reports:
-            writer.writerow(
-                [r.check, _field_name(r.field), _params_text(r.params), r.formula_value, r.observed_value, r.verdict]
-            )
-        _emit(args, buf.getvalue())
-    else:
-        lines = []
-        for r in reports:
-            lines.append(
-                f"{_VERDICT_WORD.get(r.verdict, r.verdict):4} {r.check} field={_field_name(r.field)} "
-                f"{_params_text(r.params)} formula={r.formula_value} observed={r.observed_value}"
-            )
-        outcome = "pass" if failures == 0 else "fail"
-        lines.append(f"result: {outcome} ({len(reports)} checks, {failures} failures)")
-        _emit(args, "\n".join(lines) + "\n")
-    print(f"verify: {len(reports)} checks in {elapsed:.2f}s", file=sys.stderr)
-    return 0 if failures == 0 else 1
+    print(f"verify: {len(reports)} checks in {_since(started):.2f}s", file=sys.stderr)
 
-
-def _cmd_sample(args) -> int:
-    started = time.perf_counter()
-    field = parse_field(args.field)
-    prefix = _parse_tuple(field, args.prefix)
-    query = CountQuery(field, args.m, args.n, args.r, prefix)
-    target = rank_le_probability(query)
-    est = monte_carlo_rank_le(query, args.trials, args.seed)
-    diff = float(est.estimate - target)
-    sigma = target_stderr(target, est.trials)
-    z = 0.0 if diff == 0 else (diff / sigma if sigma else float("inf"))
-    report = make_report("sample", field, {}, formula=target, observed=est)
-    elapsed_ms = int((time.perf_counter() - started) * 1000)
-    params = {"m": args.m, "n": args.n, "r": args.r, "k": query.k, "trials": args.trials, "seed": args.seed}
-    if args.format == "json":
-        _emit_json(args, _record_json("sample", field, params, target, est, report.verdict, elapsed_ms))
-    else:
+    def render():
+        if args.format == "csv":
+            return _csv(
+                [["check", "field", "params", "formula", "observed", "verdict"]]
+                + [[r.check, _field_name(r.field), _params_text(r.params), r.formula_value, r.observed_value, r.verdict]
+                   for r in reports]
+            )
         lines = [
-            f"field: {field}",
-            f"params: {_params_text(params)}",
-            f"successes: {est.successes}",
-            f"estimate: {est.estimate} = {_float_text(float(est.estimate))}",
-            f"stderr: {_float_text(est.stderr)}",
-            f"target: {target} = {_float_text(float(target))}",
-            f"z: {_float_text(z)}",
-            f"verdict: {report.verdict}",
+            f"{_VERDICT_WORD.get(r.verdict, r.verdict):4} {r.check} field={_field_name(r.field)} "
+            f"{_params_text(r.params)} formula={r.formula_value} observed={r.observed_value}"
+            for r in reports
         ]
-        _emit(args, "\n".join(lines) + "\n")
-    return 0 if report.verdict == "estimate-within-tolerance" else 1
+        failures = _mismatches(reports)
+        lines.append(f"result: {'fail' if failures else 'pass'} ({len(reports)} checks, {failures} failures)")
+        return _text(lines)
+
+    return reports, render
+
+
+def _cmd_sample(args):
+    started = time.perf_counter()
+    query = _query(args)
+    params = {"m": args.m, "n": args.n, "r": args.r, "k": query.k, "trials": args.trials, "seed": args.seed}
+    report = _estimate(args, query, params, started)
+
+    def render():
+        est, target = report.observed_value, report.formula_value
+        diff = float(est.estimate - target)
+        sigma = target_stderr(target, est.trials)
+        z = 0.0 if diff == 0 else (diff / sigma if sigma else float("inf"))
+        return _text(
+            [f"field: {query.field}", f"params: {_params_text(params)}", f"successes: {est.successes}"]
+            + _estimate_lines(report, f"z: {_float_text(z)}")
+        )
+
+    return report, render
 
 
 # ----------------------------------------------------------------------
@@ -538,7 +488,16 @@ def main(argv=None) -> int:
             raise ValueError("--jobs must be >= 1")
         if hasattr(args, "trials") and args.trials < 1:
             raise ValueError("--trials must be >= 1")
-        return args.handler(args)
+        result, render = args.handler(args)
+        reports = result if isinstance(result, list) else [result]
+        if args.format == "json":
+            # verify's records name their suite check under the command
+            prefix = "verify/" if args.command == "verify" else ""
+            records = [_report_record(r, prefix) for r in reports]
+            _emit(args, json.dumps(records if isinstance(result, list) else records[0], indent=2) + "\n")
+        else:
+            _emit(args, render())
+        return 1 if _mismatches(reports) else 0
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -73,6 +73,8 @@ def rank_via_reduction(x: SeqTuple, m: int, n: int) -> tuple[int, HankelShape]:
     is the rank.  Returns the rank and the shape the deciding test ran on
     ((m, n) itself when the matrix has full rank min(m,n)+1).
     """
+    if m < 0 or n < 0:
+        raise ValueError(f"need m, n >= 0, got m={m}, n={n}")
     lo = min(m, n)
     for r in range(lo + 1):
         if rank_le_fast(x, m, n, r):

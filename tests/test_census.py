@@ -64,6 +64,23 @@ def test_query_regimes():
         CountQuery(F2, 1, 1, 1, seq(F3, [0]))
 
 
+def test_query_and_census_check_sizes_and_prefix_alike():
+    cases = (
+        ((F2, -1, 1), "need m, n >= 0, got m=-1, n=1", "need m, n, r >= 0, got m=-1, n=1, r=0"),
+        ((F2, 1, 0, seq(F3, [0])), "prefix lives in a different field", None),
+        ((F2, 1, 1, seq(F2, [0, 0, 0, 0])), "prefix length 4 exceeds tuple length 3", None),
+    )
+    for (field, m, n, *prefix), census_message, query_message in cases:
+        with pytest.raises(ValueError) as info:
+            brute_census(field, m, n, *prefix)
+        assert str(info.value) == census_message
+        with pytest.raises(ValueError) as info:
+            CountQuery(field, m, n, 0, *prefix)
+        assert str(info.value) == (query_message or census_message)
+    with pytest.raises(ValueError, match=r"^need m, n, r >= 0, got m=1, n=1, r=-1$"):
+        CountQuery(F2, 1, 1, -1)
+
+
 # -- closed forms -------------------------------------------------------
 
 

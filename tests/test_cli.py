@@ -45,6 +45,14 @@ def test_rank_wrong_entry_count(capsys):
     assert "6 entries" in err
 
 
+def test_rank_rejects_negative_degrees(capsys):
+    # the wording of count, census and sample; H(-1,1) once read as rank 0
+    for m, n in (("-1", "1"), ("-2", "2")):
+        code, out, err = run_cli(capsys, "rank", "--field", "2", "--m", m, "--n", n, "1")
+        assert code == 2 and out == ""
+        assert err == f"error: need m, n >= 0, got m={m}, n={n}\n"
+
+
 def test_out_of_range_literals_exit_2(capsys):
     for field, entries in (("5", "7,0,-3"), ("5", "0,0,5"), ("4", "7,0,1"), ("9", "0,3*t,1")):
         code, out, err = run_cli(capsys, "rank", "--field", field, "--m", "1", "--n", "1", entries)

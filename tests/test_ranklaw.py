@@ -107,6 +107,13 @@ def test_rank_via_reduction():
             assert rank == rank_gauss(materialize_hankel(xs, HankelShape(m, n)))
 
 
+def test_rank_via_reduction_rejects_negative_degrees():
+    x = seq(F2, [1])
+    for m, n in ((-1, 1), (1, -1), (-2, 2)):
+        with pytest.raises(ValueError, match=f"need m, n >= 0, got m={m}, n={n}"):
+            rank_via_reduction(x, m, n)
+
+
 def test_elkies_zero_tuple():
     # zero matrix: lhs = (q-1); rhs = (q^2 - 1) - q (q - 1) = q - 1
     assert _annihilator_term(F2, (0, 0, 0), 1, 1) == (0, 0, 1)

@@ -18,8 +18,15 @@ comparisons and the property suites over a parameter grid and returns one
 report per checked family.
 
 The estimator runs its trials in batches of _MC_BATCH.  Each trial's
-suffix is drawn on its own, from a splitmix64 counter keyed off the seed
-and the trial number.  Each batch is then decided by one lockstep
+suffix comes from its own splitmix64 counter, keyed off the seed and the
+trial number, and the whole batch is drawn at once: the counters are the
+64-bit lanes of one Python int, one lane per 128-bit slot, so one packed
++, ^, >>, * and & advances or mixes every lane, and each round's words
+are read out through a native 'Q' view.  Rejection sampling keeps each
+lane's first accepted codes, and a lane that runs short of them goes on
+with the per-trial draw (_draw_codes), so every trial draws exactly the
+codes it would on its own.  The draw comes out as columns, the t-th
+holding x_t over the batch, and the batch is decided by one lockstep
 elimination on the reduced view (hankel._lockstep_rank_le), which
 pivots every trial's view on its diagonal with one list comprehension
 per entry over the whole batch.  A view that meets a zero pivot is
@@ -94,12 +101,13 @@ its own would compute min(m, n+1)+1 times as many.
 from __future__ import annotations
 
 import itertools
+import sys
 import time
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
 from functools import wraps
-from math import sqrt
+from math import ceil, sqrt
 from typing import Iterator, NamedTuple, Sequence
 
 from hankelcensus.gf import FieldSpec
@@ -659,6 +667,9 @@ def brute_count_jt_singular(
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_SLOT = 16  # bytes per lane of a packed batch: 64 bits, and 64 more that its products reach
+# where lane b's word sits in the native 'Q' view of a packed int's bytes
+_LANE_WORDS = slice(None, None, 2) if sys.byteorder == "little" else slice(None, None, -2)
 
 
 def _mix64(z: int) -> int:
@@ -674,7 +685,9 @@ def _draw_codes(spec: FieldSpec, key: int, count: int) -> list[int]:
     Word j = 1, 2, ... is _mix64(key + j*_GOLDEN), and a code takes the
     next ceil(bits/64) words, high word first.  For Q <= 2^64, one word
     per code, the mix is written out in the loop and the counter steps
-    by _GOLDEN, which saves a call per word.
+    by _GOLDEN, which saves a call per word.  This is one trial's draw:
+    _draw_lanes draws a batch of them at once, and falls back on this
+    function for a lane that runs short and for codes above 2^64.
     """
     q = spec.order
     bits = (q - 1).bit_length()
@@ -704,6 +717,87 @@ def _draw_codes(spec: FieldSpec, key: int, count: int) -> list[int]:
     return out
 
 
+def _lane_ones(lanes: int) -> int:
+    """The packed int with 1 in each of `lanes` lanes."""
+    return int.from_bytes((1).to_bytes(_SLOT, "little") * lanes, "little")
+
+
+def _pack_lanes(values) -> int:
+    """One int holding the values below 2^64, the b-th in bits 128b to 128b+63."""
+    return int.from_bytes(b"".join(v.to_bytes(_SLOT, "little") for v in values), "little")
+
+
+def _unpack_lanes(z: int, lanes: int) -> list[int]:
+    """The values of a packed int's lanes; every slot must hold less than 2^64."""
+    return memoryview(z.to_bytes(_SLOT * lanes, sys.byteorder)).cast("Q")[_LANE_WORDS].tolist()
+
+
+def _mix_lanes(z: int, low: int) -> int:
+    """_mix64 of every lane of z at once; low holds _MASK64 in every lane.
+
+    A lane's product by a 64-bit constant stays below 2^128, inside its
+    slot, and each shift is masked back to the lane's 64 bits before the
+    xor, so no lane reads another's bits.
+    """
+    z = ((z ^ ((z >> 30) & low)) * 0xBF58476D1CE4E5B9) & low
+    z = ((z ^ ((z >> 27) & low)) * 0x94D049BB133111EB) & low
+    return z ^ ((z >> 31) & low)
+
+
+def _draw_lanes(spec: FieldSpec, keys: int, lanes: int, count: int) -> list[Sequence[int]]:
+    """The draws _draw_codes(spec, key, count) of every lane key of keys, as columns.
+
+    keys packs `lanes` keys below 2^64 (see _pack_lanes), and column j
+    holds the j-th code of every lane.  Round j draws word j of every
+    lane with one packed counter step and mix.  When no lane rejects a
+    word in the first `count` rounds, as for Q = 2^bits, those rounds
+    are the columns.  Otherwise J rounds are drawn, J sized from the
+    acceptance rate so that most lanes accept `count` words in them
+    (J sets the speed, never the codes), and each lane keeps its first
+    `count` accepted words; one that falls short goes on with
+    _draw_codes from word J+1.  Above 2^64 a code takes several words,
+    and each lane is drawn by _draw_codes.
+    """
+    q = spec.order
+    bits = (q - 1).bit_length()
+    if bits > 64:
+        return list(zip(*(_draw_codes(spec, key, count) for key in _unpack_lanes(keys, lanes))))
+    ones = _lane_ones(lanes)
+    low = _MASK64 * ones
+    step = _GOLDEN * ones
+    mask = ((1 << bits) - 1) * ones
+
+    def packed_rounds():
+        z = keys
+        while True:
+            z = (z + step) & low
+            yield _mix_lanes(z, low) & mask
+
+    stream = packed_rounds()
+    excess = ((1 << bits) - q) * ones
+    # a word w is rejected when w >= q, that is when w + 2^bits - q
+    # carries into bit `bits`; each round is unpacked as it is drawn, so
+    # that one packed round at a time is alive
+    carries = 0
+    rounds = []
+    for w in itertools.islice(stream, count):
+        carries |= w + excess
+        rounds.append(_unpack_lanes(w, lanes))
+    if not carries >> bits & ones:
+        return rounds
+    mean = count * (1 << bits) / q  # the rounds a lane takes on average
+    J = ceil(mean + 2 * sqrt((mean - count) * (1 << bits) / q))
+    rounds += (_unpack_lanes(w, lanes) for w in itertools.islice(stream, J - count))
+    kept = [[w for w in lane if w < q] for lane in zip(*rounds)]
+    del rounds
+    short = [b for b, words in enumerate(kept) if len(words) < count]
+    if short:
+        key_of = _unpack_lanes(keys, lanes)
+        for b in short:
+            kept[b] += _draw_codes(spec, key_of[b] + J * _GOLDEN, count - len(kept[b]))
+    return list(itertools.islice(zip(*kept), count))
+
+
 _MC_BATCH = 512  # trials per lockstep elimination
 
 
@@ -714,10 +808,11 @@ def monte_carlo_rank_le(
 
     Suffixes come from a counter-based generator keyed off (seed, trial),
     so the estimate is reproducible across platforms and independent of
-    any parallel schedule.  Trials run in batches of _MC_BATCH: each batch
-    is drawn trial by trial and then decided by one lockstep elimination
+    any parallel schedule.  Trials run in batches of _MC_BATCH: each
+    batch's keys and draws are computed as packed lanes (_draw_lanes),
+    and the batch is decided by one lockstep elimination
     (hankel._lockstep_rank_le) on the reduced view, which gives exactly
-    the count that one rank test per trial would.
+    the count that one draw and one rank test per trial would.
     """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
@@ -725,15 +820,22 @@ def monte_carlo_rank_le(
     m, n, r = query.m, query.n, query.r
     free = query.tuple_len - query.k
     rdeg, cdeg = _test_shape(m, n, r)
-    head = list(query.prefix.codes)
+    head = query.prefix.codes
     base_key = _mix64(rng_seed & _MASK64)
+    lanes = min(trials, _MC_BATCH)
+    # lane b of a batch is trial lo+1+b, whose counter is b*_GOLDEN past lane 0's
+    ramp = _GOLDEN * _pack_lanes(range(lanes))
     successes = 0
     for lo in range(0, trials, _MC_BATCH):
-        batch = [
-            head + _draw_codes(spec, _mix64((base_key + t * _GOLDEN) & _MASK64), free)
-            for t in range(lo + 1, min(lo + _MC_BATCH, trials) + 1)
-        ]
-        successes += _lockstep_rank_le(spec.ops, batch, rdeg, cdeg, r)
+        if trials - lo < lanes:
+            lanes = trials - lo
+            ramp &= (1 << 8 * _SLOT * lanes) - 1
+        ones = _lane_ones(lanes)
+        low = _MASK64 * ones
+        counters = (((base_key + (lo + 1) * _GOLDEN) & _MASK64) * ones + ramp) & low
+        keys = _mix_lanes(counters, low)
+        cols = [[c] * lanes for c in head] + _draw_lanes(spec, keys, lanes, free)
+        successes += _lockstep_rank_le(spec.ops, cols, rdeg, cdeg, r)
     p_hat = successes / trials
     stderr = sqrt(p_hat * (1.0 - p_hat) / trials)
     return MonteCarloEstimate(Fraction(successes, trials), stderr, successes, trials)

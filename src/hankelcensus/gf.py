@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import isqrt, log2
 from operator import mul as int_mul, xor
 from typing import Callable, NamedTuple, Sequence
 
@@ -65,19 +66,63 @@ _BUILTIN_MODULI: dict[int, tuple[int, tuple[int, ...]]] = {
 BUILTIN_ORDERS = tuple(sorted(_BUILTIN_MODULI))
 
 
+# With the first 13 primes as bases, Miller-Rabin is exact below 3.3e24
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _small_factor(n: int) -> int | None:
+    """The least prime factor of n >= 2 when it is at most 2^16 and below n.
+
+    Otherwise None: a prime n gives None, and so does a composite n above
+    2^32 all of whose prime factors exceed 2^16.
+    """
+    bound = min(isqrt(n), 1 << 16)
+    if bound >= 2 and n % 2 == 0:
+        return 2
+    return next((f for f in range(3, bound + 1, 2) if n % f == 0), None)
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
+    """Trial division up to 2^16, which decides every n below 2^32.
+
+    Above 2^32, where trial division could take 2^31 steps and more, a
+    Miller-Rabin test decides in bounded time: it never calls a prime
+    composite, and it is exact below 3.3e24.  Any n it passes is rejected
+    as a characteristic anyway, being at least 2^31.
+    """
+    if n < 2 or _small_factor(n) is not None:
         return False
-    if n < 4:
+    if n < 1 << 32:
         return True
-    if n % 2 == 0:
-        return False
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * odd
+    for a in _MR_BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        i += 2
     return True
+
+
+def _iroot(n: int, d: int) -> int:
+    """The largest r with r**d <= n, for n >= 1, by Newton's method.
+
+    It starts a little above the root, from a float estimate scaled by a
+    power of two, so it takes a few steps at any size of n.
+    """
+    e = log2(n) / d
+    k = max(0, int(e) - 52)
+    r = (int(2 ** (e - k) * (1 + 2**-30)) + 1) << k
+    while True:
+        s = ((d - 1) * r + n // r ** (d - 1)) // d
+        if s >= r:
+            return r
+        r = s
 
 
 # ----------------------------------------------------------------------
@@ -497,17 +542,26 @@ class FieldSpec:
             p, modulus = _BUILTIN_MODULI[q]
             d = len(modulus) - 1
             return cls(p, d, modulus)
-        p = _smallest_prime_factor(q)
-        rest, d = q, 0
-        while rest % p == 0:
-            rest //= p
-            d += 1
-        if rest == 1:
-            raise ValueError(
-                f"no built-in modulus for GF({p}^{d}) = GF({q}); "
-                f"supply one as '{p}^{d}:c0,...,c{d}'"
-            )
-        raise ValueError(f"{q} is not a prime power")
+        # q = p^d for at most one prime p.  Trial division finds a p up to
+        # 2^16; a larger p has d < log2(q)/16 and is a d-th root of q, found
+        # in bounded time where trial division could take 2^30 steps
+        p = _small_factor(q)
+        if p is None:
+            roots = ((_iroot(q, d), d) for d in range(2, q.bit_length() // 16 + 1))
+            p, d = next(((r, d) for r, d in roots if r**d == q and _is_prime(r)), (None, 0))
+        else:
+            rest, d = q, 0
+            while rest % p == 0:
+                rest //= p
+                d += 1
+            if rest != 1:
+                p = None
+        if p is None:
+            raise ValueError(f"{q} is not a prime power")
+        raise ValueError(
+            f"no built-in modulus for GF({p}^{d}) = GF({q}); "
+            f"supply one as '{p}^{d}:c0,...,c{d}'"
+        )
 
     # -- identity ------------------------------------------------------
 
@@ -642,17 +696,6 @@ class FieldSpec:
     neg_code = property(lambda self: self.ops.neg)
     mul_code = property(lambda self: self.ops.mul)
     inv_code = property(lambda self: self.ops.inv)
-
-
-def _smallest_prime_factor(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return f
-        f += 2
-    return n
 
 
 @dataclass(frozen=True)

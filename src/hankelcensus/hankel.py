@@ -14,8 +14,9 @@ entry below the rows already used, and hands it to one pivot step
 (_clear), which swaps that row up and subtracts (f/a)*prow from each row
 below; det() wraps the step to track the pivot product and swap sign.
 Lockstep elimination (_lockstep_rank_le) decides "rank <= limit" for a
-whole batch of tuples at once: each view entry is one list over the
-batch, cleared by the field's inverse-free lane update, and a view with a
+whole batch of tuples at once.  It takes the batch as columns, the t-th
+holding x_t of every tuple, so view entry (i, j) is column i+j, and
+clears them with the field's inverse-free lane update; a view with a
 zero pivot falls back to the pivot loop.  All of this runs on the
 operations gf binds once per field (FieldSpec.ops); this module has no
 field arithmetic of its own.
@@ -235,20 +236,20 @@ def _hankel_code_rows(codes: Sequence[int], rdeg: int, cdeg: int) -> list[list[i
     return [list(codes[i : i + ncols]) for i in range(rdeg + 1)]
 
 
-def _lockstep_rank_le(ops: CodeOps, batch, rdeg: int, cdeg: int, limit: int) -> int:
-    """How many tuples of batch have a (rdeg, cdeg) Hankel view of rank <= limit.
+def _lockstep_rank_le(ops: CodeOps, cols, rdeg: int, cdeg: int, limit: int) -> int:
+    """How many tuples of a batch have a (rdeg, cdeg) Hankel view of rank <= limit.
 
-    batch is a sequence of code tuples of length at least rdeg+cdeg+1,
-    and ops the operations of their field.  Every view is pivoted on its
-    diagonal entries (k, k), k < limit, one lane update per step for the
-    whole batch.  A view with a zero pivot on the way is decided on its
-    own by the pivot loop; every other one has rank <= limit exactly when
-    the block from row and column `limit` on is zero.
+    cols holds the batch as columns: cols[t] is entry x_t of every tuple,
+    in one order, for t = 0 to at least max(0, rdeg+cdeg), and ops are the
+    operations of their field.  Every view is pivoted on its diagonal
+    entries (k, k), k < limit, one lane update per step for the whole
+    batch.  A view with a zero pivot on the way is decided on its own by
+    the pivot loop; every other one has rank <= limit exactly when the
+    block from row and column `limit` on is zero.
     """
     nrows, ncols = rdeg + 1, cdeg + 1
     if min(nrows, ncols) <= limit:
-        return len(batch)
-    cols = list(zip(*batch))  # cols[t] is x_t over the batch
+        return len(cols[0])
     rows = [[cols[i + j] for j in range(ncols)] for i in range(nrows)]
     irregular: set[int] = set()
     for k in range(limit):
@@ -262,7 +263,8 @@ def _lockstep_rank_le(ops: CodeOps, batch, rdeg: int, cdeg: int, limit: int) -> 
     rest = [col for row in rows[limit:] for col in row[limit:]]
     flags = [not any(v) for v in zip(*rest)]
     for b in irregular:
-        flags[b] = _pivot_loop(ops, _hankel_code_rows(batch[b], rdeg, cdeg), limit) <= limit
+        x = [col[b] for col in cols]
+        flags[b] = _pivot_loop(ops, _hankel_code_rows(x, rdeg, cdeg), limit) <= limit
     return sum(flags)
 
 

@@ -27,7 +27,16 @@ from hankelcensus.census import (
     target_stderr,
     verify,
 )
-from hankelcensus.census import _GOLDEN, _draw_codes, _mix64, _test_shape
+from hankelcensus.census import (
+    _GOLDEN,
+    _draw_codes,
+    _draw_lanes,
+    _mix64,
+    _mix_lanes,
+    _pack_lanes,
+    _test_shape,
+    _unpack_lanes,
+)
 from hankelcensus.gf import FieldSpec, parse_field
 from hankelcensus.hankel import (
     HankelShape,
@@ -277,7 +286,8 @@ def test_walks_and_dropped_fields_leave_no_cyclic_garbage():
             M = materialize_hankel(x, HankelShape(2, 2))
             assert rank_gauss(M) == oracles.minor_rank(M)
             assert det(M) == oracles.leibniz_det(M)
-            assert _lockstep_rank_le(spec.ops, [x.codes], 2, 2, 2) == (rank_gauss(M) <= 2)
+            cols = [[c] for c in x.codes]
+            assert _lockstep_rank_le(spec.ops, cols, 2, 2, 2) == (rank_gauss(M) <= 2)
             del spec, x, M
             assert gc.collect() == 0, text
     finally:
@@ -337,6 +347,64 @@ def test_draw_codes_match_mix64_reference(field):
     assert _draw_codes(field, 7, 0) == []
 
 
+DRAW_FIELDS = [
+    F2,
+    FieldSpec(101),
+    FieldSpec(257),  # rejects about half of its 9-bit words
+    FieldSpec(2**31 - 1),
+    FieldSpec.from_order(64),
+    GF2_64,
+    GF2_65,
+    GF3_41,
+]
+
+
+def test_packed_lanes_round_trip_and_mix():
+    keys = [0, 1, 2**64 - 1, 2**64 - _GOLDEN, 12345]
+    for lanes in (1, 2, 5):
+        packed = _pack_lanes(keys[:lanes])
+        assert _unpack_lanes(packed, lanes) == keys[:lanes]
+        low = _pack_lanes([2**64 - 1] * lanes)
+        assert _unpack_lanes(_mix_lanes(packed, low), lanes) == [_mix64(k) for k in keys[:lanes]]
+
+
+@pytest.mark.parametrize("field", DRAW_FIELDS, ids=str)
+def test_draw_lanes_match_draw_codes_lane_by_lane(field, monkeypatch):
+    # every lane draws what _draw_codes and the reference draw give for its
+    # key, whether the batch has one lane or a full _MC_BATCH; 2^64 - 1
+    # wraps the counter at the first word, and 2^64 - golden reaches
+    # counter 0 there
+    calls = []
+
+    def draw_codes(spec, key, count):
+        calls.append(key)
+        return _draw_codes(spec, key, count)
+
+    monkeypatch.setattr(census, "_draw_codes", draw_codes)
+    specials = [0, 2**64 - 1, 2**64 - _GOLDEN]
+    topped_up = set()
+    for lanes in (1, 2, 511, 512):
+        for turn in range(3 if lanes < 3 else 1):
+            keys = (specials[turn:] + specials[:turn] + [_mix64(b) for b in range(lanes)])[:lanes]
+            for count in (0, 1, 9):
+                calls.clear()
+                cols = _draw_lanes(field, _pack_lanes(keys), lanes, count)
+                assert len(cols) == count
+                assert all(len(col) == lanes for col in cols)
+                for b, key in enumerate(keys):
+                    want = _draw_codes(field, key, count)
+                    assert [col[b] for col in cols] == want == reference_draw(field, key, count)
+                if field.order > 2**64:
+                    assert calls == keys  # one _draw_codes call per lane
+                else:
+                    # only a lane that ran short calls it, from past its words
+                    assert not set(calls) & set(keys)
+                    if calls:
+                        topped_up.add((lanes, count))
+    if field.order == 257:
+        assert (512, 9) in topped_up
+
+
 def test_draw_codes_above_2_64_use_two_words():
     # a code is the low 65 bits of (word 1, word 2), so it can use bit 64
     w1, w2 = _mix64(_GOLDEN), _mix64(2 * _GOLDEN)
@@ -364,6 +432,12 @@ def reference_monte_carlo(query, trials, seed):
         CountQuery(FieldSpec(5), 3, 3, 0),
         CountQuery(FieldSpec.from_order(9), 2, 3, 2),
         CountQuery(FieldSpec.from_order(8), 3, 2, 3),  # full width
+        CountQuery(FieldSpec(257), 3, 3, 2),  # rejects about half of its words
+        CountQuery(FieldSpec(2**31 - 1), 2, 3, 2),
+        CountQuery(FieldSpec.from_order(64), 3, 3, 3, seq(FieldSpec.from_order(64), [5, 0])),
+        # two words per code; a rank test at r >= 1 takes about a
+        # millisecond here, and at r = 0 every trial fails
+        CountQuery(GF2_65, 1, 2, 0),
     ],
     ids=lambda q: f"GF{q.field.order}-{q.m}-{q.n}-{q.r}-k{q.k}",
 )

@@ -691,6 +691,29 @@ def test_bad_field_spec(capsys):
         assert code == 2 and out == "" and "element literal" in err
 
 
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        # 2^61 - 1 as an order and as a characteristic: trial division up
+        # to its square root once took 2^30 steps and ran for minutes
+        ("2305843009213693951", "characteristic 2305843009213693951 exceeds 2^31"),
+        ("2305843009213693951^2:1,0,1", "characteristic 2305843009213693951 exceeds 2^31"),
+        # the smallest prime above 2^32, which always failed fast
+        ("4294967311", "characteristic 4294967311 exceeds 2^31"),
+        ("18446744202558570721", "no built-in modulus for GF(4294967311^2)"),
+        ("4295229443", "4295229443 is not a prime power"),  # 65537 * 65539
+    ],
+)
+def test_large_order_or_characteristic_exits_2_at_once(field, message):
+    proc = subprocess.run(
+        [sys.executable, "-m", "hankelcensus", "sample", "--field", field,
+         "--m", "1", "--n", "1", "--r", "0", "--trials", "5"],
+        capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert message in proc.stderr
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "hankelcensus", "count", "--field", "2",

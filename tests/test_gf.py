@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import operator
 import random
 
@@ -17,6 +18,7 @@ from hankelcensus.gf import (
     parse_element,
     parse_field,
 )
+from hankelcensus.gf import _iroot, _is_prime
 
 AXIOM_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 
@@ -156,6 +158,23 @@ def test_prime_validation():
     big = FieldSpec(2147483647)  # largest prime below 2^31
     a = big.element(123456789)
     assert a * (big.one / a) == big.one
+
+
+def test_primality_above_2_32_is_exact_and_fast():
+    # trial division decides below 2^32; above it, Miller-Rabin on the
+    # first 13 primes, exact below 3.3e24, rejects strong pseudoprimes to
+    # the first 9 and the first 12 prime bases
+    def by_trial_division(n):
+        return n > 1 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+    near = range(2**32 - 60, 2**32 + 60)
+    assert [n for n in near if _is_prime(n)] == [n for n in near if by_trial_division(n)]
+    for n in (3825123056546413051, 318665857834031151167461, 2**67 - 1, 65537 * 65539):
+        assert not _is_prime(n)
+    assert _is_prime(2**61 - 1) and _is_prime(2**89 - 1) and _is_prime(4294967311)
+    # roots of a power of a large prime, and of 2^80
+    assert _iroot(4294967311**7, 7) == 4294967311
+    assert [_iroot(2**80 - 1, d) for d in (2, 3, 80)] == [2**40 - 1, 106528681, 1]
 
 
 def test_modulus_validation():

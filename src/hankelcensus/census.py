@@ -22,16 +22,18 @@ suffix comes from its own splitmix64 counter, keyed off the seed and the
 trial number, and the whole batch is drawn at once: the counters are the
 64-bit lanes of one Python int, one lane per 128-bit slot, so one packed
 +, ^, >>, * and & advances or mixes every lane, and each round's words
-are read out through a native 'Q' view.  Rejection sampling keeps each
-lane's first accepted codes, and a lane that runs short of them goes on
-with the per-trial draw (_draw_codes), so every trial draws exactly the
-codes it would on its own.  The draw comes out as columns, the t-th
-holding x_t over the batch, and the batch is decided by one lockstep
-elimination on the reduced view (hankel._lockstep_rank_le), which
-pivots every trial's view on its diagonal with one list comprehension
-per entry over the whole batch.  A view that meets a zero pivot is
-decided on its own, so the count is exactly that of one rank test per
-trial.
+are read out through a native 'Q' view; a code above 2^64 takes several
+consecutive rounds, high word first.  Rejection sampling keeps each
+lane's first accepted codes, and the lanes that run short of them go on
+in a smaller packed batch of their own, keyed past the words already
+drawn, so one draw path (_draw_lanes) serves every field and every
+trial draws exactly the codes it would on its own.  The draw comes out
+as columns, the t-th holding x_t over the batch, and the batch is
+decided by one lockstep elimination on the reduced view
+(hankel._lockstep_rank_le), which pivots every trial's view on its
+diagonal with one list comprehension per entry over the whole batch.
+A view that meets a zero pivot is decided on its own, so the count is
+exactly that of one rank test per trial.
 
 The exhaustive counter walks the prefix tree of the tuple depth first.  It
 reads the Hankel view in whichever orientation has the shorter columns,
@@ -121,7 +123,7 @@ from hankelcensus.hankel import (
     iter_seq_tuples,
     jt_matrix,
 )
-from hankelcensus.ranklaw import _annihilator_term, rank_le_fast
+from hankelcensus.ranklaw import _annihilator_term, _reduced_shape, rank_le_fast
 from hankelcensus.witness import (
     NiceContext,
     R_inv,
@@ -380,14 +382,6 @@ def _check_cap(work: int, cap: int) -> None:
         raise CapExceededError(work, cap)
 
 
-def _test_shape(m: int, n: int, r: int) -> tuple[int, int]:
-    # rank <= r is decided on the reduced (r, m+n-r) view whenever the
-    # reduction hypotheses r <= m, r <= n hold; otherwise on (m, n) itself
-    if r <= m and r <= n:
-        return r, m + n - r
-    return m, n
-
-
 def _non_square(spec: FieldSpec) -> int:
     """The first code nu with nu^((q-1)/2) != 1, a non-square of odd q."""
     half = (spec.order - 1) // 2
@@ -608,7 +602,7 @@ def brute_count_rank_le(query: CountQuery, cap: int = DEFAULT_CAP) -> int:
     Works in any regime; the closed form only exists in the "standard"
     and "full-width" regimes, but the enumeration itself is unconditional.
     """
-    shape = _test_shape(query.m, query.n, query.r)
+    shape = _reduced_shape(query.m, query.n, query.r)
     free = query.tuple_len - query.k
     tallies = _tally_ranks(query.field, query.prefix.codes, free, shape, query.r, cap)
     return sum(tallies[: query.r + 1])
@@ -672,51 +666,6 @@ _SLOT = 16  # bytes per lane of a packed batch: 64 bits, and 64 more that its pr
 _LANE_WORDS = slice(None, None, 2) if sys.byteorder == "little" else slice(None, None, -2)
 
 
-def _mix64(z: int) -> int:
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
-def _draw_codes(spec: FieldSpec, key: int, count: int) -> list[int]:
-    """Uniform element codes by rejection sampling on ceil(log2 Q) bits.
-
-    Word j = 1, 2, ... is _mix64(key + j*_GOLDEN), and a code takes the
-    next ceil(bits/64) words, high word first.  For Q <= 2^64, one word
-    per code, the mix is written out in the loop and the counter steps
-    by _GOLDEN, which saves a call per word.  This is one trial's draw:
-    _draw_lanes draws a batch of them at once, and falls back on this
-    function for a lane that runs short and for codes above 2^64.
-    """
-    q = spec.order
-    bits = (q - 1).bit_length()
-    mask = (1 << bits) - 1
-    out: list[int] = []
-    z = key & _MASK64
-    if bits > 64:
-        nwords = (bits + 63) // 64
-        while len(out) < count:
-            w = 0
-            for _ in range(nwords):
-                z = (z + _GOLDEN) & _MASK64
-                w = (w << 64) | _mix64(z)
-            c = w & mask
-            if c < q:
-                out.append(c)
-        return out
-    left = count
-    while left:
-        z = (z + _GOLDEN) & _MASK64
-        y = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        y = ((y ^ (y >> 27)) * 0x94D049BB133111EB) & _MASK64
-        c = (y ^ (y >> 31)) & mask
-        if c < q:
-            out.append(c)
-            left -= 1
-    return out
-
-
 def _lane_ones(lanes: int) -> int:
     """The packed int with 1 in each of `lanes` lanes."""
     return int.from_bytes((1).to_bytes(_SLOT, "little") * lanes, "little")
@@ -733,7 +682,7 @@ def _unpack_lanes(z: int, lanes: int) -> list[int]:
 
 
 def _mix_lanes(z: int, low: int) -> int:
-    """_mix64 of every lane of z at once; low holds _MASK64 in every lane.
+    """splitmix64's mix of every lane of z at once; low holds _MASK64 in every lane.
 
     A lane's product by a 64-bit constant stays below 2^128, inside its
     slot, and each shift is masked back to the lane's 64 bits before the
@@ -745,56 +694,82 @@ def _mix_lanes(z: int, low: int) -> int:
 
 
 def _draw_lanes(spec: FieldSpec, keys: int, lanes: int, count: int) -> list[Sequence[int]]:
-    """The draws _draw_codes(spec, key, count) of every lane key of keys, as columns.
+    """`count` uniform codes for each lane key of keys, as columns.
 
     keys packs `lanes` keys below 2^64 (see _pack_lanes), and column j
-    holds the j-th code of every lane.  Round j draws word j of every
-    lane with one packed counter step and mix.  When no lane rejects a
-    word in the first `count` rounds, as for Q = 2^bits, those rounds
-    are the columns.  Otherwise J rounds are drawn, J sized from the
-    acceptance rate so that most lanes accept `count` words in them
-    (J sets the speed, never the codes), and each lane keeps its first
-    `count` accepted words; one that falls short goes on with
-    _draw_codes from word J+1.  Above 2^64 a code takes several words,
-    and each lane is drawn by _draw_codes.
+    holds the j-th code of every lane.  A lane's word i = 1, 2, ... is
+    splitmix64 of key + i*_GOLDEN, and round i draws word i of every
+    lane with one packed counter step and mix (_mix_lanes).  A code
+    takes the next ceil(bits/64) words, high word first, masked to
+    bits = ceil(log2 Q), and is kept when it is below Q (rejection
+    sampling).  When no lane rejects a code in the first `count` codes,
+    as for Q = 2^bits, those are the columns.  Otherwise J codes are
+    drawn, J sized from the acceptance rate so that most lanes accept
+    `count` of them (J sets the speed, never the codes), and each lane
+    keeps its first `count` accepted codes.  The lanes that fall short
+    go on in a smaller batch of their own, a call on their keys
+    advanced by the J codes' words, so every lane draws the codes it
+    would draw alone.
     """
     q = spec.order
     bits = (q - 1).bit_length()
-    if bits > 64:
-        return list(zip(*(_draw_codes(spec, key, count) for key in _unpack_lanes(keys, lanes))))
+    words = (bits + 63) // 64
     ones = _lane_ones(lanes)
     low = _MASK64 * ones
     step = _GOLDEN * ones
-    mask = ((1 << bits) - 1) * ones
+    top = ((1 << bits - 64 * (words - 1)) - 1) * ones  # a code's high word keeps these bits
 
     def packed_rounds():
         z = keys
         while True:
             z = (z + step) & low
-            yield _mix_lanes(z, low) & mask
+            yield _mix_lanes(z, low)
 
     stream = packed_rounds()
-    excess = ((1 << bits) - q) * ones
-    # a word w is rejected when w >= q, that is when w + 2^bits - q
-    # carries into bit `bits`; each round is unpacked as it is drawn, so
-    # that one packed round at a time is alive
-    carries = 0
-    rounds = []
-    for w in itertools.islice(stream, count):
-        carries |= w + excess
-        rounds.append(_unpack_lanes(w, lanes))
-    if not carries >> bits & ones:
-        return rounds
-    mean = count * (1 << bits) / q  # the rounds a lane takes on average
+    if words == 1:
+        excess = ((1 << bits) - q) * ones
+        # a code c is rejected when c >= q, that is when c + 2^bits - q
+        # carries into bit `bits`; each round is unpacked as it is drawn,
+        # so that one packed round at a time is alive
+        carries = 0
+        cols = []
+        for w in itertools.islice(stream, count):
+            w &= top
+            carries |= w + excess
+            cols.append(_unpack_lanes(w, lanes))
+        rejected = carries >> bits & ones
+        more = (_unpack_lanes(w & top, lanes) for w in stream)
+    else:
+
+        def multiword_codes():
+            for hi, *rest in zip(*[stream] * words):
+                col = _unpack_lanes(hi & top, lanes)
+                for w in rest:
+                    col = [c << 64 | v for c, v in zip(col, _unpack_lanes(w, lanes))]
+                yield col
+
+        more = multiword_codes()
+        cols = list(itertools.islice(more, count))
+        rejected = any(max(col) >= q for col in cols)
+    if not rejected:
+        return cols
+    mean = count * (1 << bits) / q  # the codes a lane takes on average
     J = ceil(mean + 2 * sqrt((mean - count) * (1 << bits) / q))
-    rounds += (_unpack_lanes(w, lanes) for w in itertools.islice(stream, J - count))
-    kept = [[w for w in lane if w < q] for lane in zip(*rounds)]
-    del rounds
-    short = [b for b, words in enumerate(kept) if len(words) < count]
+    cols += itertools.islice(more, J - count)
+    kept = [[c for c in lane if c < q] for lane in zip(*cols)]
+    del cols
+    short = [b for b, codes in enumerate(kept) if len(codes) < count]
     if short:
         key_of = _unpack_lanes(keys, lanes)
-        for b in short:
-            kept[b] += _draw_codes(spec, key_of[b] + J * _GOLDEN, count - len(kept[b]))
+        past = J * words * _GOLDEN
+        topup = _draw_lanes(
+            spec,
+            _pack_lanes((key_of[b] + past) & _MASK64 for b in short),
+            len(short),
+            count - min(len(kept[b]) for b in short),
+        )
+        for i, b in enumerate(short):
+            kept[b] += [col[i] for col in topup]
     return list(itertools.islice(zip(*kept), count))
 
 
@@ -819,9 +794,9 @@ def monte_carlo_rank_le(
     spec = query.field
     m, n, r = query.m, query.n, query.r
     free = query.tuple_len - query.k
-    rdeg, cdeg = _test_shape(m, n, r)
+    rdeg, cdeg = _reduced_shape(m, n, r)
     head = query.prefix.codes
-    base_key = _mix64(rng_seed & _MASK64)
+    base_key = _mix_lanes(rng_seed & _MASK64, _MASK64)
     lanes = min(trials, _MC_BATCH)
     # lane b of a batch is trial lo+1+b, whose counter is b*_GOLDEN past lane 0's
     ramp = _GOLDEN * _pack_lanes(range(lanes))

@@ -49,6 +49,17 @@ def rank_pair(x: SeqTuple, rdeg: int, cdeg: int) -> RankPair:
     return RankPair(tall, wide)
 
 
+def _reduced_shape(m: int, n: int, r: int) -> tuple[int, int]:
+    """The view (rdeg, cdeg) on which rank(H_{m,n}) <= r is decided.
+
+    It is (r, m+n-r) when the reduction's hypotheses r <= m, r <= n
+    hold, and (m, n) itself otherwise.
+    """
+    if r <= m and r <= n:
+        return r, m + n - r
+    return m, n
+
+
 def rank_le_fast(x: SeqTuple, m: int, n: int, r: int) -> bool:
     """Whether rank(H_{m,n}(x)) <= r, tested on the reduced shape.
 
@@ -61,8 +72,7 @@ def rank_le_fast(x: SeqTuple, m: int, n: int, r: int) -> bool:
         raise ValueError(f"the reduction needs r <= m and r <= n, got m={m}, n={n}, r={r}")
     if m + n > len(x) - 1:
         raise ValueError(f"need m+n <= {len(x) - 1} for this tuple")
-    s = m + n - r
-    rows = _hankel_code_rows(x.codes, r, s)
+    rows = _hankel_code_rows(x.codes, *_reduced_shape(m, n, r))
     return _rank_codes(x.field, rows, r) <= r
 
 
@@ -78,7 +88,7 @@ def rank_via_reduction(x: SeqTuple, m: int, n: int) -> tuple[int, HankelShape]:
     lo = min(m, n)
     for r in range(lo + 1):
         if rank_le_fast(x, m, n, r):
-            return r, HankelShape(r, m + n - r)
+            return r, HankelShape(*_reduced_shape(m, n, r))
     return lo + 1, HankelShape(m, n)
 
 

@@ -29,12 +29,10 @@ from hankelcensus.census import (
 )
 from hankelcensus.census import (
     _GOLDEN,
-    _draw_codes,
+    _MASK64,
     _draw_lanes,
-    _mix64,
     _mix_lanes,
     _pack_lanes,
-    _test_shape,
     _unpack_lanes,
 )
 from hankelcensus.gf import FieldSpec, parse_field
@@ -297,31 +295,44 @@ def test_walks_and_dropped_fields_leave_no_cyclic_garbage():
 # -- Monte Carlo ---------------------------------------------------------
 
 
-def test_mix64_matches_published_vector():
-    # the first two outputs of the reference splitmix64 stream at seed 0
-    from hankelcensus.census import _GOLDEN
+def mix64(z):
+    """splitmix64's output mix of one 64-bit counter value, written out."""
+    z &= _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
-    assert _mix64(_GOLDEN) == 0xE220A8397B1DCDAF
-    assert _mix64(2 * _GOLDEN) == 0x6E789E6AA1B965F4
-    assert _mix64(0) == 0
+
+def test_mix64_matches_published_vector():
+    # the first two outputs of the reference splitmix64 stream at seed 0,
+    # from the scalar reference and from one packed lane
+    for mix in (mix64, lambda z: _mix_lanes(z & _MASK64, _MASK64)):
+        assert mix(_GOLDEN) == 0xE220A8397B1DCDAF
+        assert mix(2 * _GOLDEN) == 0x6E789E6AA1B965F4
+        assert mix(0) == 0
+
+
+def lane_draw(spec, key, count):
+    """The codes _draw_lanes draws for one key, alone in its batch."""
+    return [col[0] for col in _draw_lanes(spec, key, 1, count)]
 
 
 def test_draw_codes_in_range_and_covering():
     for field in (F2, F3, FieldSpec(5), FieldSpec.from_order(9)):
-        codes = _draw_codes(field, key=12345, count=2000)
+        codes = lane_draw(field, key=12345, count=2000)
         assert all(0 <= c < field.order for c in codes)
         assert set(codes) == set(range(field.order))
 
 
 def reference_draw(spec, key, count):
-    """Rejection sampling on ceil(log2 Q) bits, word j = _mix64(key + j*golden)."""
+    """Rejection sampling on ceil(log2 Q) bits, word j = mix64(key + j*golden)."""
     bits = (spec.order - 1).bit_length()
     out, j = [], 0
     while len(out) < count:
         w = 0
         for _ in range((bits + 63) // 64):
             j += 1
-            w = (w << 64) | _mix64(key + j * _GOLDEN)
+            w = (w << 64) | mix64(key + j * _GOLDEN)
         if w % 2**bits < spec.order:
             out.append(w % 2**bits)
     return out
@@ -330,6 +341,7 @@ def reference_draw(spec, key, count):
 GF2_64 = FieldSpec(2, 64, [1, 1, 1] + [0] * 8 + [1] + [0] * 52 + [1])  # x^64+x^11+x^2+x+1
 GF2_65 = FieldSpec(2, 65, [1] + [0] * 17 + [1] + [0] * 46 + [1])  # x^65+x^18+1
 GF3_41 = FieldSpec(3, 41, [1, 2] + [0] * 39 + [1])  # x^41+2x+1, Q a little below 2^65
+GF2_129 = FieldSpec(2, 129, [1] + [0] * 4 + [1] + [0] * 123 + [1])  # x^129+x^5+1
 
 
 @pytest.mark.parametrize(
@@ -342,9 +354,9 @@ def test_draw_codes_match_mix64_reference(field):
     # counter 0 there, and a key past 2^64 is read mod 2^64; above 2^64 a
     # code takes two words, and GF(3^41) rejects about 1% of them
     for key in (0, 12345, 2**64 - 1, 2**64 - _GOLDEN, 2**64 + 12345):
-        assert _draw_codes(field, key, 40) == reference_draw(field, key, 40)
-    assert _draw_codes(field, 12345, 40) == _draw_codes(field, 2**64 + 12345, 40)
-    assert _draw_codes(field, 7, 0) == []
+        assert lane_draw(field, key, 40) == reference_draw(field, key, 40)
+    assert lane_draw(field, 12345, 40) == lane_draw(field, 2**64 + 12345, 40)
+    assert _draw_lanes(field, 7, 1, 0) == []
 
 
 DRAW_FIELDS = [
@@ -356,6 +368,7 @@ DRAW_FIELDS = [
     GF2_64,
     GF2_65,
     GF3_41,
+    GF2_129,  # three words per code
 ]
 
 
@@ -365,61 +378,69 @@ def test_packed_lanes_round_trip_and_mix():
         packed = _pack_lanes(keys[:lanes])
         assert _unpack_lanes(packed, lanes) == keys[:lanes]
         low = _pack_lanes([2**64 - 1] * lanes)
-        assert _unpack_lanes(_mix_lanes(packed, low), lanes) == [_mix64(k) for k in keys[:lanes]]
+        assert _unpack_lanes(_mix_lanes(packed, low), lanes) == [mix64(k) for k in keys[:lanes]]
 
 
 @pytest.mark.parametrize("field", DRAW_FIELDS, ids=str)
-def test_draw_lanes_match_draw_codes_lane_by_lane(field, monkeypatch):
-    # every lane draws what _draw_codes and the reference draw give for its
-    # key, whether the batch has one lane or a full _MC_BATCH; 2^64 - 1
-    # wraps the counter at the first word, and 2^64 - golden reaches
-    # counter 0 there
-    calls = []
-
-    def draw_codes(spec, key, count):
-        calls.append(key)
-        return _draw_codes(spec, key, count)
-
-    monkeypatch.setattr(census, "_draw_codes", draw_codes)
+def test_draw_lanes_match_draw_codes_lane_by_lane(field):
+    # every lane draws what the reference draw gives for its key, whether
+    # the batch has one lane or a full _MC_BATCH; 2^64 - 1 wraps the
+    # counter at the first word, and 2^64 - golden reaches counter 0 there
     specials = [0, 2**64 - 1, 2**64 - _GOLDEN]
-    topped_up = set()
     for lanes in (1, 2, 511, 512):
         for turn in range(3 if lanes < 3 else 1):
-            keys = (specials[turn:] + specials[:turn] + [_mix64(b) for b in range(lanes)])[:lanes]
+            keys = (specials[turn:] + specials[:turn] + [mix64(b) for b in range(lanes)])[:lanes]
             for count in (0, 1, 9):
-                calls.clear()
                 cols = _draw_lanes(field, _pack_lanes(keys), lanes, count)
                 assert len(cols) == count
                 assert all(len(col) == lanes for col in cols)
                 for b, key in enumerate(keys):
-                    want = _draw_codes(field, key, count)
-                    assert [col[b] for col in cols] == want == reference_draw(field, key, count)
-                if field.order > 2**64:
-                    assert calls == keys  # one _draw_codes call per lane
-                else:
-                    # only a lane that ran short calls it, from past its words
-                    assert not set(calls) & set(keys)
-                    if calls:
-                        topped_up.add((lanes, count))
-    if field.order == 257:
-        assert (512, 9) in topped_up
+                    assert [col[b] for col in cols] == reference_draw(field, key, count)
+
+
+def test_short_lanes_top_up_in_nested_batches(monkeypatch):
+    # GF(257) rejects about half of its words, so with one code per lane
+    # some of 512 lanes run short, and now and then a lane of their
+    # top-up batch runs short again; every lane still draws its own codes
+    field = FieldSpec(257)
+    depth = 0
+    depths = set()
+
+    def draw_lanes(spec, keys, lanes, count):
+        nonlocal depth
+        depths.add(depth)
+        depth += 1
+        try:
+            return _draw_lanes(spec, keys, lanes, count)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(census, "_draw_lanes", draw_lanes)
+    for seed in range(8):
+        keys = [mix64(seed << 16 | b) for b in range(512)]
+        cols = census._draw_lanes(field, _pack_lanes(keys), 512, 1)
+        assert [list(col) for col in cols] == [[reference_draw(field, key, 1)[0] for key in keys]]
+    assert 2 in depths  # a top-up of a top-up
 
 
 def test_draw_codes_above_2_64_use_two_words():
-    # a code is the low 65 bits of (word 1, word 2), so it can use bit 64
-    w1, w2 = _mix64(_GOLDEN), _mix64(2 * _GOLDEN)
-    assert _draw_codes(GF2_65, 0, 1) == [((w1 << 64) | w2) % 2**65]
-    assert any(c >> 64 for c in _draw_codes(GF2_65, 99, 64))
+    # a code is the low 65 bits of (word 1, word 2), so it can use bit 64;
+    # on GF(2^129) it is the low 129 bits of three words
+    w1, w2, w3 = mix64(_GOLDEN), mix64(2 * _GOLDEN), mix64(3 * _GOLDEN)
+    assert lane_draw(GF2_65, 0, 1) == [((w1 << 64) | w2) % 2**65]
+    assert any(c >> 64 for c in lane_draw(GF2_65, 99, 64))
+    assert lane_draw(GF2_129, 0, 1) == [((w1 << 128) | (w2 << 64) | w3) % 2**129]
+    assert any(c >> 128 for c in lane_draw(GF2_129, 99, 64))
 
 
 def reference_monte_carlo(query, trials, seed):
     """One draw and one rank kernel call per trial, as before batching."""
-    rdeg, cdeg = _test_shape(query.m, query.n, query.r)
+    rdeg, cdeg = ranklaw._reduced_shape(query.m, query.n, query.r)
     free = query.tuple_len - query.k
-    base = _mix64(seed)
+    base = mix64(seed)
     successes = 0
     for t in range(1, trials + 1):
-        x = list(query.prefix.codes) + _draw_codes(query.field, _mix64(base + t * _GOLDEN), free)
+        x = list(query.prefix.codes) + reference_draw(query.field, mix64(base + t * _GOLDEN), free)
         successes += _rank_codes(query.field, _hankel_code_rows(x, rdeg, cdeg), query.r) <= query.r
     return successes
 
@@ -435,9 +456,10 @@ def reference_monte_carlo(query, trials, seed):
         CountQuery(FieldSpec(257), 3, 3, 2),  # rejects about half of its words
         CountQuery(FieldSpec(2**31 - 1), 2, 3, 2),
         CountQuery(FieldSpec.from_order(64), 3, 3, 3, seq(FieldSpec.from_order(64), [5, 0])),
-        # two words per code; a rank test at r >= 1 takes about a
-        # millisecond here, and at r = 0 every trial fails
+        # two and three words per code; a rank test at r >= 1 takes about
+        # a millisecond here, and at r = 0 every trial fails
         CountQuery(GF2_65, 1, 2, 0),
+        CountQuery(GF2_129, 1, 2, 0),
     ],
     ids=lambda q: f"GF{q.field.order}-{q.m}-{q.n}-{q.r}-k{q.k}",
 )

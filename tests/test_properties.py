@@ -33,7 +33,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from hankelcensus.census import _tally_ranks, _test_shape, _walk_block, _walk_blocks
+from hankelcensus.census import _tally_ranks, _walk_block, _walk_blocks
 from hankelcensus.gf import (
     _TABLE_LIMIT,
     BUILTIN_ORDERS,
@@ -54,7 +54,7 @@ from hankelcensus.hankel import (
     materialize_hankel,
     rank_gauss,
 )
-from hankelcensus.ranklaw import RankPair, _annihilator_term, rank_pair
+from hankelcensus.ranklaw import RankPair, _annihilator_term, _reduced_shape, rank_pair
 
 PROPS = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 
@@ -493,7 +493,7 @@ def walk_cases(draw, name):
         else:
             r = draw(st.integers(min(m, n) + 1, min(m, n) + 2))
     length = m + n + 1
-    rows = min(_test_shape(m, n, r)) + 1  # column length of the walked view
+    rows = min(_reduced_shape(m, n, r)) + 1  # column length of the walked view
     lowest = max(0, length - free_max)
     kind = draw(st.sampled_from(("empty", "full", "random", "saturated", "all-zero")))
     saturated = kind == "saturated" and r < rows and r + rows <= length
@@ -526,7 +526,7 @@ def test_walk_matches_flat_sweep(name):
         spec, m, n, r, head = case
         free = m + n + 1 - len(head)
         # the rank-bound view with limit r, and the census view
-        for shape, limit in ((_test_shape(m, n, r), r), ((m, n), min(m, n) + 1)):
+        for shape, limit in ((_reduced_shape(m, n, r), r), ((m, n), min(m, n) + 1)):
             expected = flat_tallies(spec, head, free, shape, limit)
             assert _tally_ranks(spec, head, free, shape, limit, 10**9) == expected
             assert _walk_block(spec, head, free, shape, limit) == expected
@@ -547,7 +547,7 @@ def test_walk_matches_flat_sweep_on_the_last_entries(q):
     for m, n in ((0, 0), (0, 2), (1, 1), (1, 2), (2, 2), (1, 4), (2, 3), (3, 3)):
         length = m + n + 1
         views = [((m, n), min(m, n) + 1)]
-        views += [(_test_shape(m, n, r), r) for r in range(min(m, n) + 1)]
+        views += [(_reduced_shape(m, n, r), r) for r in range(min(m, n) + 1)]
         for free in (2, 1, 0):
             k = length - free
             if k < 0:
@@ -571,7 +571,7 @@ def test_orbit_blocks_match_one_unsplit_walk(p, d):
     for m, n in ((1, 2), (2, 2), (2, 3)):
         head = [0] * (m + n - 1)
         views = [((m, n), min(m, n) + 1)]
-        views += [(_test_shape(m, n, r), r) for r in range(min(m, n) + 1)]
+        views += [(_reduced_shape(m, n, r), r) for r in range(min(m, n) + 1)]
         for shape, limit in views:
             whole = _walk_block(spec, head, 2, shape, limit)
             assert _tally_ranks(spec, head, 2, shape, limit, 10**9) == whole
@@ -592,7 +592,7 @@ def test_borel_blocks_match_one_unsplit_walk(q):
                 continue
             reached |= {(s + 1) % spec.p == 0 for s in range(k, k + free - 1)}
             views = [((m, n), min(m, n) + 1)]
-            views += [(_test_shape(m, n, r), r) for r in range(min(m, n) + 1)]
+            views += [(_reduced_shape(m, n, r), r) for r in range(min(m, n) + 1)]
             for shape, limit in views:
                 whole = _walk_block(spec, [0] * k, free, shape, limit)
                 assert _tally_ranks(spec, [0] * k, free, shape, limit, 10**9) == whole

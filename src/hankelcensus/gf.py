@@ -21,7 +21,8 @@ by XOR for p = 2 and digit by digit otherwise.
 
 Prime fields work for any prime p < 2^31.  Extension fields ship with
 fixed Conway moduli for Q in {4, 8, 9, 16, 25, 27, 32, 49, 64}; any other
-extension field needs an explicit irreducible modulus.
+extension field needs an explicit irreducible modulus, which Rabin's test
+checks at every degree.
 
 Field spec text format: "Q" for a built-in field (e.g. "9"), or
 "p^d:c0,c1,...,cd" with little-endian modulus coefficients.  Elements
@@ -33,7 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import isqrt, log2
-from operator import mul as int_mul, xor
+from operator import index, mul as int_mul, xor
 from typing import Callable, NamedTuple, Sequence
 
 __all__ = [
@@ -109,6 +110,15 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _integer(value, what: str) -> int:
+    """value as a plain int, for any integer type; a float, a str or any
+    other non-integer is a ValueError, not truncated."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
+
+
 def _iroot(n: int, d: int) -> int:
     """The largest r with r**d <= n, for n >= 1, by Newton's method.
 
@@ -149,13 +159,16 @@ def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
 
 
 def _poly_mod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
-    # m need not be monic; its leading coefficient is inverted once.
-    r = [x % p for x in a]
-    _poly_trim(r)
+    """The remainder of a on division by the monic m over GF(p).
+
+    The coefficients of a may be any integers; they are reduced mod p.
+    m must be monic, so each step subtracts the multiple of m that clears
+    the leading coefficient with no inverse.
+    """
+    r = _poly_trim([x % p for x in a])
     dm = len(m) - 1
-    lead_inv = pow(m[-1], p - 2, p)
-    while len(r) - 1 >= dm and r:
-        f = r[-1] * lead_inv % p
+    while len(r) > dm:
+        f = r[-1]
         shift = len(r) - 1 - dm
         for i, mi in enumerate(m):
             r[shift + i] = (r[shift + i] - f * mi) % p
@@ -169,28 +182,26 @@ def _poly_powmod(base: Sequence[int], e: int, m: Sequence[int], p: int) -> list[
     while e > 0:
         if e & 1:
             result = _poly_mod(_poly_mul(result, b, p), m, p)
-        b = _poly_mod(_poly_mul(b, b, p), m, p)
         e >>= 1
+        if e:
+            b = _poly_mod(_poly_mul(b, b, p), m, p)
     return result
 
 
-def _poly_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    a = _poly_trim([x % p for x in a])
-    b = _poly_trim([x % p for x in b])
-    while b:
-        a, b = b, _poly_mod(a, b, p)
-    return a
+def _poly_inv(a: Sequence[int], m: Sequence[int], p: int) -> list[int] | None:
+    """The inverse of a mod m over GF(p) by extended Euclid, or None.
 
-
-def _poly_inv(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
-    """The inverse of a mod m, for a prime to m and both reduced mod p, by extended Euclid."""
+    a must be reduced mod m and mod p.  None means that a and m have a
+    common factor of positive degree: a = 0, or gcd(a, m) != 1.  So one
+    run also decides the gcd condition of Rabin's test.
+    """
     # s0*a = r0 and s1*a = r1 (mod m) throughout
-    r0, r1 = _poly_trim(list(m)), _poly_trim(list(a))
+    r0, r1 = list(m), _poly_trim(list(a))
     s0, s1 = [], [1]
     while len(r1) > 1:
-        lead_inv = pow(r1[-1], p - 2, p)
+        u = pow(r1[-1], p - 2, p)  # 1 / the leading coefficient of r1
         while len(r0) >= len(r1):
-            f = r0[-1] * lead_inv % p
+            f = r0[-1] * u % p
             shift = len(r0) - len(r1)
             for i, c in enumerate(r1):
                 r0[shift + i] = (r0[shift + i] - f * c) % p
@@ -200,57 +211,47 @@ def _poly_inv(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
             _poly_trim(r0)
             _poly_trim(s0)
         r0, r1, s0, s1 = r1, r0, s1, s0
+    if not r1:  # the gcd is r0, of positive degree
+        return None
     # r1 is the nonzero constant gcd
     c = pow(r1[0], p - 2, p)
     return [x * c % p for x in s1]
 
 
 def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, ascending (exact below 2^32)."""
     out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
+    while n > 1:
+        f = _small_factor(n) or n
+        out.append(f)
+        while n % f == 0:
+            n //= f
     return out
 
 
 def _is_irreducible(modulus: Sequence[int], p: int) -> bool:
-    """Irreducibility of a monic polynomial over GF(p).
+    """Irreducibility of a monic polynomial f of degree d over GF(p).
 
-    Small search spaces are checked by trial division over all monic
-    divisors of degree <= d/2; larger ones use the gcd conditions with
-    x^(p^i) - x.
+    Rabin's test (SIAM J. Comput. 9, 1980), at every degree: f is
+    irreducible if and only if x^(p^d) = x mod f and, for every prime
+    e | d, x^(p^(d/e)) - x is invertible mod f.  One chain of p-th
+    powers, x^(p^i) mod f for i = 1..d, gives all of these powers.  A
+    linear f is irreducible; it returns at once, as x is not reduced
+    mod f.
     """
     d = len(modulus) - 1
     if d == 1:
         return True
-    n_candidates = sum(p**e for e in range(1, d // 2 + 1))
-    if n_candidates <= 4096:
-        for e in range(1, d // 2 + 1):
-            for low in itertools.product(range(p), repeat=e):
-                divisor = list(low) + [1]
-                if not _poly_mod(modulus, divisor, p):
-                    return False
-        return True
     x = [0, 1]
-    t = x
+    chain = [x]
     for _ in range(d):
-        t = _poly_powmod(t, p, modulus, p)
-    diff = _poly_trim([(a - b) % p for a, b in itertools.zip_longest(t, x, fillvalue=0)])
-    if diff:
+        chain.append(_poly_powmod(chain[-1], p, modulus, p))
+    if chain[d] != x:
         return False
     for e in _prime_factors(d):
-        t = x
-        for _ in range(d // e):
-            t = _poly_powmod(t, p, modulus, p)
+        t = chain[d // e]
         diff = _poly_trim([(a - b) % p for a, b in itertools.zip_longest(t, x, fillvalue=0)])
-        g = _poly_gcd(modulus, diff, p)
-        if len(g) - 1 > 0:
+        if _poly_inv(diff, modulus, p) is None:
             return False
     return True
 
@@ -505,7 +506,7 @@ class FieldSpec:
                 )
         # coefficients follow the rule of element literals: -p < c < p, and
         # a negative one means its negation
-        coeffs = tuple(int(c) for c in modulus)
+        coeffs = tuple(_integer(c, "modulus coefficient") for c in modulus)
         if len(coeffs) != d + 1:
             raise ValueError(
                 f"modulus must have degree {d} ({d + 1} coefficients), got {len(coeffs)}"
@@ -600,8 +601,8 @@ class FieldSpec:
         if isinstance(value, int):
             if not 0 <= value < self.order:
                 raise ValueError(f"code {value} out of range for {self}")
-            return FieldElement(self, value)
-        coeffs = [int(c) for c in value]
+            return FieldElement(self, int(value))
+        coeffs = [_integer(c, "coefficient") for c in value]
         if len(coeffs) > self.d:
             raise ValueError(f"too many coefficients for {self}")
         if not all(0 <= c < self.p for c in coeffs):
@@ -680,14 +681,8 @@ class FieldSpec:
         return self._ops
 
     def _pow_code_raw(self, a: int, e: int) -> int:
-        p, d, modulus = self.p, self.d, self.modulus
-        out = 1
-        while e > 0:
-            if e & 1:
-                out = _mul_codes(out, a, p, d, modulus)
-            a = _mul_codes(a, a, p, d, modulus)
-            e >>= 1
-        return out
+        p = self.p
+        return _encode(_poly_powmod(_decode(a, p, self.d), e, self.modulus, p), p)
 
     # the code operations by their public names: each reads its closure in
     # ops, so `add = spec.add_code` before a loop pays no lookup inside it

@@ -15,11 +15,16 @@ to table-free arithmetic (digit-wise sums mod p, polynomial products) on
 every pair of elements of every built-in extension field, and
 test_code_ops_match_polynomial_arithmetic on random pairs in every field
 class.
+
+irreducible_by_division alone uses no field at all: it decides
+irreducibility by long division on plain ints mod p, against which
+test_gf checks Rabin's test in gf.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import Sequence
 
 from hankelcensus.gf import FieldElement, FieldSpec
 from hankelcensus.hankel import (
@@ -149,3 +154,22 @@ def sumlast_sides(field: FieldSpec, m: int, n: int, a: SeqTuple) -> tuple[int, i
     q = field.order
     lhs = sum(elkies_identity_sides(x, m, n)[1] for x in iter_seq_tuples(field, m + n + 1, a))
     return lhs, (q - 1) * q ** (2 * m - len(a))
+
+
+def irreducible_by_division(modulus: Sequence[int], p: int) -> bool:
+    """Irreducibility over GF(p) of the monic little-endian modulus, of
+    degree d >= 1, by trial division: it is reducible exactly when one of
+    the monic polynomials of degree 1 to d/2 divides it."""
+    d = len(modulus) - 1
+    for k in range(1, d // 2 + 1):
+        for low in itertools.product(range(p), repeat=k):
+            divisor = low + (1,)
+            r = [c % p for c in modulus]
+            # clear r[top] with r[top] * x^(top-k) * divisor, top = d..k
+            for top in range(d, k - 1, -1):
+                f = r[top]
+                for i, c in enumerate(divisor):
+                    r[top - k + i] = (r[top - k + i] - f * c) % p
+            if not any(r):
+                return False
+    return True

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+import oracles
 from hankelcensus.gf import (
     BUILTIN_ORDERS,
     FieldElement,
@@ -18,7 +19,7 @@ from hankelcensus.gf import (
     parse_element,
     parse_field,
 )
-from hankelcensus.gf import _iroot, _is_prime
+from hankelcensus.gf import _iroot, _is_irreducible, _is_prime, _prime_factors
 
 AXIOM_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 
@@ -206,8 +207,8 @@ def test_modulus_coefficients_follow_the_literal_rule():
 
 
 def test_irreducibility_gcd_path():
-    # degree 25 over GF(2) has too many candidate divisors for trial
-    # division, so this exercises the x^(p^i) - x gcd test
+    # Rabin's test at degree 25 = 5^2: x^(2^25) = x, and x^(2^5) - x is
+    # invertible mod an irreducible modulus
     coeffs = [0] * 26
     coeffs[0] = coeffs[3] = coeffs[25] = 1  # x^25 + x^3 + 1, irreducible
     spec = FieldSpec(2, 25, tuple(coeffs))
@@ -218,6 +219,79 @@ def test_irreducibility_gcd_path():
     bad[0] = bad[25] = 1  # x^25 + 1 has the root 1
     with pytest.raises(ValueError):
         FieldSpec(2, 25, tuple(bad))
+
+
+# the monic polynomials whose irreducibility is checked against trial
+# division, by characteristic and degree: 4728 in all
+DIVISION_CASES = {2: range(2, 10), 3: range(2, 7), 5: range(2, 5), 7: range(2, 4), 11: range(2, 4)}
+
+
+def gauss_count(p, d):
+    """Monic irreducibles of degree d over GF(p): (1/d) sum over k | d of
+    mu(k) p^(d/k), with the Moebius function mu."""
+
+    def mu(k):
+        factors = [f for f in range(2, k + 1) if k % f == 0 and all(f % g for g in range(2, f))]
+        return 0 if any(k % (f * f) == 0 for f in factors) else (-1) ** len(factors)
+
+    return sum(mu(k) * p ** (d // k) for k in range(1, d + 1) if d % k == 0) // d
+
+
+def test_irreducibility_matches_trial_division_and_gauss_count():
+    assert [gauss_count(2, d) for d in DIVISION_CASES[2]] == [1, 2, 3, 6, 9, 18, 30, 56]
+    checked = 0
+    for p, degrees in DIVISION_CASES.items():
+        for d in degrees:
+            found = 0
+            for low in itertools.product(range(p), repeat=d):
+                modulus = low + (1,)
+                verdict = _is_irreducible(modulus, p)
+                assert verdict == oracles.irreducible_by_division(modulus, p), (p, modulus)
+                found += verdict
+                checked += 1
+            assert found == gauss_count(p, d), (p, d)
+    assert checked == 4728
+
+
+def x_power_mod(n, modulus, p):
+    """x^n mod the monic modulus over GF(p), by n multiplications by x."""
+    d = len(modulus) - 1
+    r = [1] + [0] * (d - 1)
+    for _ in range(n):
+        top = r[-1]
+        r = [0] + r[:-1]
+        r = [(c - top * m) % p for c, m in zip(r, modulus)]
+    return r
+
+
+def test_irreducibility_gcd_condition_and_large_moduli():
+    # (x^2+1)(x^2+x+2) over GF(3) has no root, and x^81 = x mod it, as
+    # for an irreducible quartic: only the gcd of x^9 - x with it rejects it
+    product = (2, 1, 0, 1, 1)
+    assert all(sum(c * r**i for i, c in enumerate(product)) % 3 for r in range(3))
+    assert x_power_mod(81, product, 3) == [0, 1, 0, 0]
+    with pytest.raises(ValueError, match="reducible"):
+        parse_field("3^4:2,1,0,1,1")
+    # the square of x^17 + x^3 + 1, which is x^34 + x^6 + 1 over GF(2)
+    square = [0] * 35
+    square[0] = square[6] = square[34] = 1
+    with pytest.raises(ValueError, match="reducible"):
+        FieldSpec(2, 34, square)
+    # every modulus above 2^16 that the tests and CI run stays accepted
+    for p, d, terms in ((2, 17, {0: 1, 3: 1}), (2, 65, {0: 1, 18: 1}), (2, 129, {0: 1, 5: 1}),
+                        (3, 11, {0: 2, 2: 1}), (3, 41, {0: 1, 1: 2})):
+        modulus = [terms.get(i, 0) for i in range(d)] + [1]
+        assert FieldSpec(p, d, modulus).order == p**d
+
+
+def test_prime_factors_match_naive_factoring():
+    primes = [f for f in range(2, 5001) if all(f % g for g in range(2, math.isqrt(f) + 1))]
+    for n in range(1, 5001):
+        assert _prime_factors(n) == [f for f in primes if n % f == 0], n
+    # q - 1 at the table limit, a prime above 2^16 and one below 2^31
+    assert _prime_factors(2**16 - 1) == [3, 5, 17, 257]
+    assert _prime_factors(65537) == [65537]
+    assert _prime_factors(2**31 - 1) == [2**31 - 1]
 
 
 def test_parse_field_round_trip():
@@ -297,6 +371,21 @@ def test_element_rejects_out_of_range_codes_and_coefficients():
             spec.element(bad)
     assert f5.element(4) == f5.element((4,))
     assert f9.element(8) == f9.element((2, 2))
+
+
+def test_non_integer_input_rejected_not_truncated():
+    # a modulus or element coefficient must be an integer: a float or a str
+    # is rejected, not truncated.  A bool code is stored as a plain int
+    for p, d, modulus in ((2, 2, (1, 1.5, 1)), (3, 2, (2.9, 2, 1)), (2, 2, "111")):
+        with pytest.raises(ValueError, match="not an integer"):
+            FieldSpec(p, d, modulus)
+    f9 = FieldSpec.from_order(9)
+    for bad in ([1.5], "3", (1, 2.0)):
+        with pytest.raises(ValueError, match="not an integer"):
+            f9.element(bad)
+    one = FieldSpec(5).element(True)
+    assert type(one.code) is int and one.code == 1
+    assert repr(one) == "<1 in GF(5)>"
 
 
 def test_operations_are_bound_once_and_lazily():

@@ -182,6 +182,24 @@ def test_inverse_above_the_table_limit_matches_fermat():
     check()
 
 
+@pytest.mark.parametrize("name", list(CLASSES))
+def test_pow_code_raw_matches_repeated_products(name):
+    # _pow_code_raw runs polynomial powers in every field; mul_code runs
+    # mod p, on log tables or on polynomial products.  0^0 is 1
+    @PROPS
+    @given(fields(name), st.integers(0, 2**31))
+    def check(spec, code):
+        q = spec.order
+        for a in (0, 1, q - 1, code % q):
+            power = 1
+            for e in range(12):
+                assert spec._pow_code_raw(a, e) == power
+                power = spec.mul_code(power, a)
+            assert spec._pow_code_raw(a, q - 1) == (1 if a else 0)
+
+    check()
+
+
 @pytest.mark.parametrize("q", BUILTIN_ORDERS)
 def test_builtin_code_ops_match_table_free_arithmetic(q):
     # every pair of every built-in extension field: the oracles in

@@ -172,7 +172,7 @@ SUITES = ("lemmas", "identities", "witnesses", "theorems", "jt")
 class CapExceededError(RuntimeError):
     """An exhaustive run would exceed the enumeration cap.
 
-    Raised out of a verify suite, it carries in `reports` the suite's
+    Raised out of a verify suite, it holds in `reports` the suite's
     reports that were finished before the cap was hit.
     """
 
@@ -702,9 +702,11 @@ def _draw_lanes(spec: FieldSpec, keys: int, lanes: int, count: int) -> list[Sequ
     lane with one packed counter step and mix (_mix_lanes).  A code
     takes the next ceil(bits/64) words, high word first, masked to
     bits = ceil(log2 Q), and is kept when it is below Q (rejection
-    sampling).  When no lane rejects a code in the first `count` codes,
-    as for Q = 2^bits, those are the columns.  Otherwise J codes are
-    drawn, J sized from the acceptance rate so that most lanes accept
+    sampling).  Each code's words are unpacked as they are drawn, into
+    a column that holds one code of every lane.  When no lane rejects a
+    code in the first `count` codes, those are the columns; at Q = 2^bits
+    none can be rejected, and they are not scanned.  Otherwise J codes
+    are drawn, J sized from the acceptance rate so that most lanes accept
     `count` of them (J sets the speed, never the codes), and each lane
     keeps its first `count` accepted codes.  The lanes that fall short
     go on in a smaller batch of their own, a call on their keys
@@ -725,32 +727,20 @@ def _draw_lanes(spec: FieldSpec, keys: int, lanes: int, count: int) -> list[Sequ
             z = (z + step) & low
             yield _mix_lanes(z, low)
 
-    stream = packed_rounds()
-    if words == 1:
-        excess = ((1 << bits) - q) * ones
-        # a code c is rejected when c >= q, that is when c + 2^bits - q
-        # carries into bit `bits`; each round is unpacked as it is drawn,
-        # so that one packed round at a time is alive
-        carries = 0
-        cols = []
-        for w in itertools.islice(stream, count):
-            w &= top
-            carries |= w + excess
-            cols.append(_unpack_lanes(w, lanes))
-        rejected = carries >> bits & ones
-        more = (_unpack_lanes(w & top, lanes) for w in stream)
-    else:
+    def columns():
+        # each round is unpacked as it is drawn, so that one packed round
+        # at a time is alive; a code's first word is its high word
+        stream = packed_rounds()
+        for hi, *rest in zip(*[stream] * words):
+            col = _unpack_lanes(hi & top, lanes)
+            for w in rest:
+                col = [c << 64 | v for c, v in zip(col, _unpack_lanes(w, lanes))]
+            yield col
 
-        def multiword_codes():
-            for hi, *rest in zip(*[stream] * words):
-                col = _unpack_lanes(hi & top, lanes)
-                for w in rest:
-                    col = [c << 64 | v for c, v in zip(col, _unpack_lanes(w, lanes))]
-                yield col
-
-        more = multiword_codes()
-        cols = list(itertools.islice(more, count))
-        rejected = any(max(col) >= q for col in cols)
+    more = columns()
+    cols = list(itertools.islice(more, count))
+    # at Q = 2^bits every code is accepted, and the scan is skipped
+    rejected = q != 1 << bits and any(max(col) >= q for col in cols)
     if not rejected:
         return cols
     mean = count * (1 << bits) / q  # the codes a lane takes on average
@@ -864,6 +854,11 @@ class _Family:
         return report
 
 
+def _skipped(check: str, field: FieldSpec, reason: str) -> CensusReport:
+    """A report of verdict "skipped" that names its reason."""
+    return CensusReport(check, field, {"reason": reason}, None, None, "skipped", 0.0)
+
+
 def _suite(gen):
     """Collect a suite's reports, as they finish, into a list.
 
@@ -887,8 +882,6 @@ def _suite(gen):
 def _lemma_bound(q: int) -> int:
     if q == 2:
         return 6
-    if q == 3:
-        return 4
     n = 1
     while n < 4 and q ** (n + 2) <= 1024:
         n += 1
@@ -983,35 +976,32 @@ def suite_lemmas(
 _GADGET_WORK_LIMIT = 300_000
 
 
-def _gadget_bounds(q: int) -> tuple[int, int] | None:
-    # (max m, max n) for the exhaustive gadget sweeps, scaled so that the
-    # dominant sweep (all v of length m+1 times all q^(m+n+1) tuples)
-    # stays desk-scale; None means even the smallest grid is too big
+def _gadget_bounds(q: int, max_n: int | None) -> tuple[int, int] | None:
+    """(max m, max n) for the exhaustive gadget sweeps.
+
+    An explicit max_n caps both, m at 3 and n at 2.  Else the default
+    grid is the largest one whose dominant sweep (all v of length m+1
+    times all q^(m+n+1) tuples) stays within _GADGET_WORK_LIMIT, which
+    the cap does not lift; None means even the smallest is over it, and
+    the suite reports that as its skip (_no_gadget_grid).
+    """
+    if max_n is not None:
+        return min(3, max_n), min(2, max_n)
     for m, n in ((3, 2), (2, 2), (2, 1), (1, 1), (1, 0)):
         if (q - 1) * q**m * q ** (m + n + 1) <= _GADGET_WORK_LIMIT:
             return m, n
     return None
 
 
-class _NoGadgetGrid(CapExceededError):
-    # even the smallest default grid is over the work limit, which --cap
-    # does not lift; an explicit max_n (--max-n) picks a grid instead
-    def __init__(self, field: FieldSpec):
-        q = field.order
-        super().__init__((q - 1) * q * q**2, _GADGET_WORK_LIMIT)
-        self.args = (
-            f"no default grid fits {field}: the smallest needs {self.required} "
-            f"steps, over the limit of {self.cap}; --max-n picks one",
-        )
-
-
-def _gadget_bounds_or_raise(field: FieldSpec, max_n: int | None) -> tuple[int, int]:
-    if max_n is not None:
-        return min(3, max_n), min(2, max_n)
-    bounds = _gadget_bounds(field.order)
-    if bounds is None:
-        raise _NoGadgetGrid(field)
-    return bounds
+def _no_gadget_grid(suite: str, field: FieldSpec) -> CensusReport:
+    """The skip of a gadget suite on a field with no default grid."""
+    q = field.order
+    return _skipped(
+        suite,
+        field,
+        f"no default grid fits {field}: the smallest needs {(q - 1) * q * q**2} "
+        f"steps, over the limit of {_GADGET_WORK_LIMIT}; --max-n picks one",
+    )
 
 
 @_suite
@@ -1043,7 +1033,11 @@ def suite_identities(
                 if lhs != rhs:
                     family.miss(f"m={m} n={n} x={x} sides=({lhs},{rhs})")
     yield family.report()
-    m_hi, n2_hi = _gadget_bounds_or_raise(field, max_n)
+    bounds = _gadget_bounds(q, max_n)
+    if bounds is None:
+        yield _no_gadget_grid("identities", field)
+        return
+    m_hi, n2_hi = bounds
     family = _Family("annihilator-sum-identity", field, max_m=m_hi, max_n=n2_hi)
     for m in range(1, m_hi + 1):
         for n in range(n2_hi + 1):
@@ -1095,7 +1089,11 @@ def suite_witnesses(
     flags.  A family with no instance in the grid reports "skipped".
     """
     q = field.order
-    m_hi, n_hi = _gadget_bounds_or_raise(field, max_n)
+    bounds = _gadget_bounds(q, max_n)
+    if bounds is None:
+        yield _no_gadget_grid("witnesses", field)
+        return
+    m_hi, n_hi = bounds
     # the sweeps below test every tuple once per gadget vector: the tail
     # solver against (q-1)*q^m of them, the bijections against q^m - 1 of
     # them on two views each
@@ -1129,15 +1127,13 @@ def suite_witnesses(
                         constructed.add(out.codes)
                     if constructed != solutions:
                         solve.miss(f"v={vcodes} m={m} n={n}")
+                    # each k-prefix's solutions are one block of the flags
                     for k in range(m + 1):
-                        buckets: dict[tuple[int, ...], int] = {}
-                        for sol in solutions:
-                            key = sol[:k]
-                            buckets[key] = buckets.get(key, 0) + 1
+                        size = q ** (length - k)
                         count.instances += q**k
-                        expected = q ** (m - k)
-                        if len(buckets) != q**k or any(
-                            c != expected for c in buckets.values()
+                        if any(
+                            sum(flags[b : b + size]) != q ** (m - k)
+                            for b in range(0, len(flags), size)
                         ):
                             count.miss(f"v={vcodes} m={m} n={n} k={k}")
     yield solve.report()
@@ -1423,7 +1419,5 @@ def verify(
                 done, reason = exc.reports, str(exc)
             reports.extend(done)
             if reason is not None:
-                reports.append(
-                    CensusReport(name, field, {"reason": reason}, None, None, "skipped", 0.0)
-                )
+                reports.append(_skipped(name, field, reason))
     return reports

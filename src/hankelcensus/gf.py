@@ -488,11 +488,13 @@ class FieldSpec:
     __slots__ = ("p", "d", "modulus", "order", "_tables", "_ops", "_elements", "_hash")
 
     def __init__(self, p: int, d: int = 1, modulus: Sequence[int] | None = None):
-        if not isinstance(p, int) or not _is_prime(p):
+        p = _integer(p, "characteristic")
+        if not _is_prime(p):
             raise ValueError(f"characteristic {p!r} is not prime")
         if p >= _MAX_PRIME:
             raise ValueError(f"characteristic {p} exceeds 2^31")
-        if not isinstance(d, int) or d < 1:
+        d = _integer(d, "extension degree")
+        if d < 1:
             raise ValueError(f"extension degree must be a positive integer, got {d!r}")
         if modulus is None and d == 1:
             modulus = (0, 1)
@@ -506,7 +508,10 @@ class FieldSpec:
                 )
         # coefficients follow the rule of element literals: -p < c < p, and
         # a negative one means its negation
-        coeffs = tuple(_integer(c, "modulus coefficient") for c in modulus)
+        try:
+            coeffs = tuple(_integer(c, "modulus coefficient") for c in modulus)
+        except TypeError:  # modulus is not a sequence
+            raise ValueError(f"modulus {modulus!r} is not an integer sequence") from None
         if len(coeffs) != d + 1:
             raise ValueError(
                 f"modulus must have degree {d} ({d + 1} coefficients), got {len(coeffs)}"
@@ -602,7 +607,10 @@ class FieldSpec:
             if not 0 <= value < self.order:
                 raise ValueError(f"code {value} out of range for {self}")
             return FieldElement(self, int(value))
-        coeffs = [_integer(c, "coefficient") for c in value]
+        try:
+            coeffs = [_integer(c, "coefficient") for c in value]
+        except TypeError:  # not a sequence: read it as a code
+            return self.element(_integer(value, "code"))
         if len(coeffs) > self.d:
             raise ValueError(f"too many coefficients for {self}")
         if not all(0 <= c < self.p for c in coeffs):

@@ -23,7 +23,9 @@ from hankelcensus.census import (
     make_report,
     monte_carlo_rank_le,
     rank_le_probability,
+    suite_identities,
     suite_lemmas,
+    suite_witnesses,
     target_stderr,
     verify,
 )
@@ -398,6 +400,33 @@ def test_draw_lanes_match_draw_codes_lane_by_lane(field):
                     assert [col[b] for col in cols] == reference_draw(field, key, count)
 
 
+def test_draw_takes_count_rounds_unless_a_word_is_rejected(monkeypatch):
+    # every packed round is one _mix_lanes call.  No key here rejects a
+    # word among its first 9 on GF(64) or GF(2^31 - 1), so the draw runs 9
+    # rounds and no more; GF(101) rejects about a fifth of its 7-bit words
+    keys = [mix64(b) for b in range(512)]
+    rounds = 0
+
+    def mix_lanes(z, low):
+        nonlocal rounds
+        rounds += 1
+        return _mix_lanes(z, low)
+
+    monkeypatch.setattr(census, "_mix_lanes", mix_lanes)
+    for field in (FieldSpec.from_order(64), FieldSpec(2**31 - 1), FieldSpec(101)):
+        mask = (1 << (field.order - 1).bit_length()) - 1
+        clean = all(
+            mix64(key + j * _GOLDEN) & mask < field.order for key in keys for j in range(1, 10)
+        )
+        rounds = 0
+        cols = _draw_lanes(field, _pack_lanes(keys), 512, 9)
+        assert [list(col) for col in zip(*cols)] == [reference_draw(field, k, 9) for k in keys]
+        if field.order == 101:
+            assert not clean and rounds > 9
+        else:
+            assert clean and rounds == 9
+
+
 def test_short_lanes_top_up_in_nested_batches(monkeypatch):
     # GF(257) rejects about half of its words, so with one code per lane
     # some of 512 lanes run short, and now and then a lane of their
@@ -627,6 +656,27 @@ def test_verify_keeps_identity_report_before_the_gadget_limit():
         ("identities", "skipped"),
     ]
     assert reports[0].params["instances"] == 29 + 29**2
+
+
+def test_direct_gadget_suite_call_reports_its_own_skip():
+    # a suite called on its own, not through verify, has no grid to pick
+    # on GF(29) either: it returns its skip, and raises nothing
+    reason = (
+        "no default grid fits GF(29): the smallest needs 682892 steps, over the "
+        "limit of 300000; --max-n picks one"
+    )
+    field = FieldSpec(29)
+    skip = ("skipped", {"reason": reason}, None, None, 0.0)
+
+    def fields(report):
+        return (report.verdict, report.params, report.formula_value, report.observed_value,
+                report.elapsed_s)
+
+    (witnesses,) = suite_witnesses(field)
+    assert witnesses.check == "witnesses" and fields(witnesses) == skip
+    count, identities = suite_identities(field)
+    assert (count.check, count.verdict) == ("annihilator-count-identity", "match")
+    assert identities.check == "identities" and fields(identities) == skip
 
 
 def identity_sum_report(monkeypatch, faults):

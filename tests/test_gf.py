@@ -376,11 +376,16 @@ def test_element_rejects_out_of_range_codes_and_coefficients():
 def test_non_integer_input_rejected_not_truncated():
     # a modulus or element coefficient must be an integer: a float or a str
     # is rejected, not truncated.  A bool code is stored as a plain int
-    for p, d, modulus in ((2, 2, (1, 1.5, 1)), (3, 2, (2.9, 2, 1)), (2, 2, "111")):
+    for p, d, modulus in ((2, 2, (1, 1.5, 1)), (3, 2, (2.9, 2, 1)), (2, 2, "111"), (2, 2, 1.5)):
         with pytest.raises(ValueError, match="not an integer"):
             FieldSpec(p, d, modulus)
+    # p and d too: an integer type is read as its plain int
+    for p, d in ((2, 2.0), (5.0, 1), ("5", 1)):
+        with pytest.raises(ValueError, match="not an integer"):
+            FieldSpec(p, d)
+    assert type(FieldSpec(5, True).d) is int and FieldSpec(5, True) == FieldSpec(5)
     f9 = FieldSpec.from_order(9)
-    for bad in ([1.5], "3", (1, 2.0)):
+    for bad in ([1.5], "3", (1, 2.0), 1.5, None):
         with pytest.raises(ValueError, match="not an integer"):
             f9.element(bad)
     one = FieldSpec(5).element(True)

@@ -306,7 +306,10 @@ def _miss_zero_tuple(spec, vcodes, ncols, length):
     "fault, caught_by",
     [
         (_ignore_last_column, ("tail-solver-annihilation", "free-entry-bijection")),
-        (_miss_zero_tuple, ("tail-solver-annihilation", "weak-strong-count-ratio")),
+        (
+            _miss_zero_tuple,
+            ("tail-solver-annihilation", "tail-solver-count", "weak-strong-count-ratio"),
+        ),
     ],
 )
 def test_faulty_annihilation_predicate_is_reported(monkeypatch, fault, caught_by):
